@@ -5,7 +5,10 @@ exact rational doubling and a single float conversion at the end, so the
 only approximation is the truncation of the limit; the reported error
 bound is C / 4^n with C estimated from the integral-model discriminant.
 Sieve scores follow the convention: natural logarithm, primes p <= 3 and
-primes of bad reduction (on the integral model) skipped.
+primes of bad reduction (on the integral model) skipped.  Each #E(F_p) is
+an exact count read from a cached per-prime table of square-root counts
+(Curve.count_points_mod_p), so a score costs O(sum of p) lookups and
+prime bounds above curves.PRIME_CAP are refused.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .arith import digits10, factorize, primes_up_to, rational_sqrt
-from .curves import INFINITY, Curve, CurvePoint, Point
+from .arith import digits10, factorize, primes_up_to, rational_sqrt, worker_count
+from .curves import INFINITY, PRIME_CAP, Curve, CurvePoint, Point
 from .errors import (
     BadPrime,
     BadReduction,
     DigitCapExceeded,
     InfinityPoint,
     SingularParameter,
+    SizeCapExceeded,
 )
 from .family import SIEVE_THRESHOLDS, family_curve, subfamily
 
@@ -171,10 +175,13 @@ def mestre_nagao_sums(curve: Curve, bounds) -> dict[int, float]:
     """Partial sums sum_{p <= n} (1 - (p-1)/#E(F_p)) log p at each bound.
 
     One pass up to the largest bound; p <= 3 and bad primes skipped.
+    Raises SizeCapExceeded, before any counting, for a bound above PRIME_CAP.
     """
     bounds = sorted(set(int(b) for b in bounds))
     if not bounds:
         return {}
+    if bounds[-1] > PRIME_CAP:
+        raise SizeCapExceeded(f"prime bound {bounds[-1]} exceeds the cap {PRIME_CAP}")
     sums: dict[int, float] = {}
     total = 0.0
     idx = 0
@@ -216,15 +223,18 @@ def sieve(subfamily_index: int, k_values, thresholds: dict[int, float] | None = 
     thresholds maps prime bounds to required scores; defaults are the
     per-subfamily shipped values.  Output order matches input order;
     singular parameters produce flagged records rather than failures.
+    jobs > 1 spreads the k values over that many processes, at most one
+    per CPU.
     """
     if thresholds is None:
         thresholds = SIEVE_THRESHOLDS.get(subfamily_index, _DEFAULT_THRESHOLDS)
     k_values = [Fraction(k) for k in k_values]
     args = [(subfamily_index, k, dict(thresholds)) for k in k_values]
-    if jobs > 1:
+    workers = worker_count(jobs)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sieve_one, args))
     return [_sieve_one(arg) for arg in args]
 

@@ -1,8 +1,9 @@
-"""Small exact-arithmetic helpers: rational I/O, square roots, primes, factoring."""
+"""Small helpers: rational I/O, square roots, primes, factoring, worker counts."""
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -47,14 +48,6 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 
 def is_rational_square(q: Fraction | int) -> bool:
     return rational_sqrt(Fraction(q)) is not None
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion; 0 when p | a."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -141,3 +134,8 @@ def divisors_bounded(
 def digits10(n: int) -> int:
     """Decimal digit count of |n|, within one digit (used only for size caps)."""
     return max(1, (abs(n).bit_length() * 30103) // 100000 + 1)
+
+
+def worker_count(jobs: int) -> int:
+    """Processes to use when a caller asks for jobs: at least 1, at most the CPU count."""
+    return max(1, min(jobs, os.cpu_count() or 1))

@@ -27,6 +27,7 @@ from .errors import (
     MapPole,
     NotRealizable,
     OutOfRange,
+    SizeCapExceeded,
     ZeroU,
 )
 from .family import family_curve, family_torsion_points, has_full_two_torsion
@@ -314,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DigitCapExceeded as exc:
+    except (DigitCapExceeded, SizeCapExceeded) as exc:
         _emit_error(exc)
         return 4
     except (IrrationalN, NotRealizable, ZeroU, MapPole, OutOfRange, BadPrime, BadReduction) as exc:

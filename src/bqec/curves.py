@@ -17,8 +17,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import factorize, legendre
+from .arith import factorize
 from .errors import BadPrime, BadReduction, PointNotOnCurve, SingularCurve
+
+
+# Largest prime whose root-count table is cached (all of them take about
+# 5.8 MB); also the largest prime bound a sieve accepts.
+PRIME_CAP = 10 ** 4
+
+_ROOT_COUNTS: dict[int, bytes] = {}
+
+
+def _root_counts(p: int) -> bytes:
+    """Entry r is the number of y in F_p with y^2 = r, for an odd prime p."""
+    table = _ROOT_COUNTS.get(p)
+    if table is None:
+        counts = bytearray(p)
+        counts[0] = 1
+        for y in range(1, (p + 1) // 2):
+            counts[y * y % p] = 2
+        table = bytes(counts)
+        if p <= PRIME_CAP:
+            _ROOT_COUNTS[p] = table
+    return table
+
+
+def _count_points(p: int, c2: int, c1: int, c0: int) -> int:
+    """Points of Y^2 = 4x^3 + c2*x^2 + c1*x + c0 over F_p, infinity included."""
+    roots = _root_counts(p)
+    return 1 + sum([roots[(((4 * x + c2) * x + c1) * x + c0) % p] for x in range(p)])
 
 
 class _Infinity:
@@ -214,10 +241,14 @@ class Curve:
         return Curve.from_ab(A_int, B_int), lam
 
     def count_points_mod_p(self, p: int) -> int:
-        """#E(F_p) by a full Legendre-symbol sweep (O(p); primes here are tiny).
+        """#E(F_p) for an odd prime p of good reduction, in O(p) table lookups.
 
-        AB-form curves are counted on their integral model; general models are
-        reduced coefficient-wise, which needs p > 3 to complete the square.
+        The model is put in the shape Y^2 = 4x^3 + c2*x^2 + c1*x + c0 (Y =
+        2y + a1*x + a3) and #E(F_p) = 1 + sum over x of the number of square
+        roots of the right-hand side, read from a per-prime table.
+        AB-form curves are counted on their integral model (c2, c1, c0 =
+        4A, 4B, 0); general models are reduced coefficient-wise and use
+        (b2, 2*b4, b6), which needs p > 3.
         """
         if self.is_ab_form:
             if p < 3:
@@ -225,11 +256,7 @@ class Curve:
             A_int, B_int, _ = self._integral_ab
             if (16 * B_int * B_int * (A_int * A_int - 4 * B_int)) % p == 0:
                 raise BadReduction(f"p = {p} divides the integral-model discriminant")
-            A, B = A_int % p, B_int % p
-            total = p + 1
-            for x in range(p):
-                total += legendre((((x + A) * x + B) * x) % p, p)
-            return total
+            return _count_points(p, 4 * A_int % p, 4 * B_int % p, 0)
 
         if p <= 3:
             raise BadPrime(f"p = {p} is too small to reduce a general model")
@@ -241,11 +268,7 @@ class Curve:
         if self.discriminant.numerator % p == 0:
             raise BadReduction(f"p = {p} divides the discriminant")
         a1, a2, a3, a4, a6 = reduced
-        # (2y + a1*x + a3)^2 = 4x^3 + b2*x^2 + 2*b4*x + b6
         b2 = (a1 * a1 + 4 * a2) % p
         b4 = (2 * a4 + a1 * a3) % p
         b6 = (a3 * a3 + 4 * a6) % p
-        total = p + 1
-        for x in range(p):
-            total += legendre((((4 * x + b2) * x + 2 * b4) * x + b6) % p, p)
-        return total
+        return _count_points(p, b2, 2 * b4, b6)

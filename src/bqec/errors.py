@@ -68,3 +68,7 @@ class InfinityPoint(ValueError):
 
 class DigitCapExceeded(OverflowError):
     """Exact coordinates outgrew the configured decimal-digit cap."""
+
+
+class SizeCapExceeded(OverflowError):
+    """A request for work beyond a fixed size cap, such as the sieve's prime bound."""

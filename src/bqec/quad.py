@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import rational_sqrt
+from .arith import rational_sqrt, worker_count
 from .curves import Point
 from .errors import (
     IrrationalN,
@@ -237,10 +237,12 @@ def search_quads_range(
 def search_quads(max_side: int, jobs: int = 1) -> list[tuple[Quadrilateral, Fraction]]:
     """All integer-sided quadrilaterals with sides <= max_side, incircle
     condition satisfied and rational N, deduplicated under rotation,
-    reflection and scaling; sorted by perimeter then lexicographically."""
+    reflection and scaling; sorted by perimeter then lexicographically.
+    jobs > 1 spreads the rows over that many processes, at most one per CPU."""
     if max_side < 1:
         raise ValueError("max_side must be >= 1")
-    if jobs > 1:
+    workers = worker_count(jobs)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = list(range(1, max_side + 2))
@@ -249,7 +251,7 @@ def search_quads(max_side: int, jobs: int = 1) -> list[tuple[Quadrilateral, Frac
             for i in range(0, len(bounds) - 1, 8)
         ]
         hits: set[tuple[int, int, int, int]] = set()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_search_chunk, chunks):
                 hits |= part
     else:

@@ -15,8 +15,8 @@ from bqec.analysis import (
     regulator,
     sieve,
 )
-from bqec.curves import INFINITY, Point
-from bqec.errors import DigitCapExceeded, InfinityPoint, PointNotOnCurve
+from bqec.curves import INFINITY, Curve, Point
+from bqec.errors import DigitCapExceeded, InfinityPoint, PointNotOnCurve, SizeCapExceeded
 from bqec.family import family_curve, subfamily1_cleared
 from bqec.torsion import point_order
 
@@ -124,9 +124,12 @@ def test_sieve_rows():
     assert [record.k for record in records] == [F(257, 134), F(311, 129)]
     assert all(record.passed for record in records)
     assert all(record.sums[523] > 10 and record.sums[1979] > 14 for record in records)
+    # the sums are exact counts fed to one fixed float sum: they never move by a bit
+    assert records[0].sums == {523: 13.86560178255197, 1979: 20.617573161932143}
 
     lower = sieve(4, [F(115, 28)])
     assert lower[0].passed  # subfamily 4 uses the lower thresholds
+    assert lower[0].sums == {523: 10.015385362256353, 1979: 13.353907527672067}
 
 
 def test_sieve_singular_parameter():
@@ -138,6 +141,17 @@ def test_sieve_singular_parameter():
 def test_sieve_custom_thresholds():
     records = sieve(1, [F(257, 134)], thresholds={523: 1000.0})
     assert not records[0].passed
+
+
+def test_sieve_prime_bound_cap(monkeypatch):
+    def no_counting(self, p):
+        raise AssertionError("counted points past the cap check")
+
+    monkeypatch.setattr(Curve, "count_points_mod_p", no_counting)
+    with pytest.raises(SizeCapExceeded):
+        mestre_nagao_sums(E10, [523, 10007])
+    with pytest.raises(SizeCapExceeded):
+        sieve(1, [F(257, 134)], thresholds={10007: 1.0})
 
 
 def test_point_search_finds_generators():

@@ -1,5 +1,6 @@
 """Rational I/O, square roots, primes, factoring helpers."""
 
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -8,10 +9,10 @@ from bqec.arith import (
     divisors_bounded,
     factorize,
     is_rational_square,
-    legendre,
     parse_rational,
     primes_up_to,
     rational_sqrt,
+    worker_count,
 )
 
 
@@ -30,14 +31,6 @@ def test_rational_sqrt():
     assert rational_sqrt(F(2)) is None
     assert rational_sqrt(F(-4)) is None
     assert is_rational_square(F(451584, 625) ** 2)
-
-
-def test_legendre_against_square_table():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):
-        squares = {(x * x) % p for x in range(1, p)}
-        for a in range(p):
-            expected = 0 if a == 0 else (1 if a in squares else -1)
-            assert legendre(a, p) == expected
 
 
 def test_primes_up_to():
@@ -62,3 +55,10 @@ def test_divisors_bounded():
     assert small == [1, 2, 3, 4, 6]
     capped, truncated = divisors_bounded({2: 10}, max_count=3)
     assert truncated and len(capped) == 3
+
+
+def test_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert [worker_count(jobs) for jobs in (-3, 0, 1, 2, 3, 10 ** 6)] == [1, 1, 1, 2, 2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+    assert worker_count(8) == 1

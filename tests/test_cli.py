@@ -1,6 +1,8 @@
 """CLI surface: JSON schemas, exit codes, formats, determinism."""
 
+import concurrent.futures
 import json
+import os
 from fractions import Fraction as F
 
 from bqec.cli import main
@@ -139,6 +141,16 @@ def test_sieve_k_file(tmp_path, capsys):
     assert [line["k"] for line in lines] == ["115/28", "301/396"]
 
 
+def test_sieve_prime_bound_cap_exit_code(capsys):
+    code, lines = run_json(
+        capsys, "sieve", "--subfamily=1", "--k=257/134", "--thresholds=10007:1"
+    )
+    assert code == 4
+    assert lines == [
+        {"error": "size-cap-exceeded", "detail": "prime bound 10007 exceeds the cap 10000"}
+    ]
+
+
 def test_sieve_requires_one_k_source(capsys):
     code, lines = run_json(capsys, "sieve", "--subfamily", "1")
     assert code == 2
@@ -187,3 +199,35 @@ def test_jobs_flag_matches_serial(capsys):
     _, serial = run_cli(capsys, "search-quads", "--max-side", "20")
     _, parallel = run_cli(capsys, "search-quads", "--max-side", "20", "--jobs", "2")
     assert serial == parallel
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    _, serial = run_cli(capsys, "search-quads", "--max-side", "20")
+    _, pooled = run_cli(capsys, "search-quads", "--max-side", "20", "--jobs", "1000000")
+    assert pooled == serial
+    sieve_args = ("sieve", "--subfamily", "4", "--k", "115/28,3/11", "--thresholds", "523:8")
+    _, serial = run_cli(capsys, *sieve_args)
+    _, pooled = run_cli(capsys, *sieve_args, "--jobs", "1000000")
+    assert pooled == serial
+    assert _RecordingPool.sizes == [2, 2]

@@ -4,14 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from bqec.arith import primes_up_to
 from bqec.curves import INFINITY, Curve, Point
 from bqec.errors import BadPrime, BadReduction, PointNotOnCurve, SingularCurve
-from bqec.family import family_curve, family_discriminant, family_torsion_points
+from bqec.family import family_curve, family_discriminant, family_torsion_points, subfamily
 
 from conftest import sample_parameters
 
 E10 = family_curve(10)
 GENERAL = Curve(a1=-12, a2=-6, a3=-8, a4=124, a6=-744)
+SUB1 = family_curve(subfamily(1, F(257, 134)).a)  # integral-model scale > 1
 
 
 def test_ab_construction():
@@ -181,14 +183,28 @@ def test_count_small_curve():
 
 
 def test_count_matches_brute_force_and_hasse():
-    integral, _ = E10.integral_model()
+    assert SUB1.integral_model()[1] > 1
+    for curve in (E10, SUB1):
+        integral, _ = curve.integral_model()
+        A, B = int(integral.A), int(integral.B)
+        for p in (7, 13, 17, 19, 23, 29, 31, 37, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101):
+            if integral.discriminant % p == 0:
+                continue
+            count = curve.count_points_mod_p(p)
+            assert count == _brute_force_count(A, B, p)
+            assert (count - p - 1) ** 2 <= 4 * p
+
+
+def test_count_is_two_isogeny_invariant():
+    # E: y^2 = x^3 + A x^2 + B x and E': y^2 = x^3 - 2A x^2 + (A^2 - 4B) x are
+    # 2-isogenous, so they have the same number of points at every good p
+    integral, _ = SUB1.integral_model()
     A, B = int(integral.A), int(integral.B)
-    for p in (7, 13, 17, 19, 23, 29, 31, 37, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101):
-        if integral.discriminant % p == 0:
-            continue
-        count = E10.count_points_mod_p(p)
-        assert count == _brute_force_count(A, B, p)
-        assert (count - p - 1) ** 2 <= 4 * p
+    isogenous = Curve.from_ab(-2 * A, A * A - 4 * B)
+    good = [p for p in primes_up_to(1979)[1:] if B * (A * A - 4 * B) % p]
+    assert len(good) > 280
+    for p in good:
+        assert SUB1.count_points_mod_p(p) == isogenous.count_points_mod_p(p)
 
 
 def test_count_general_matches_brute_force():
