@@ -1,9 +1,11 @@
 """Real-valued analytics over exact points: heights, regulators, sieve scores.
 
-Canonical heights are computed as the doubling limit h(2^n P) / 4^n with
-exact rational doubling and a single float conversion at the end, so the
-only approximation is the truncation of the limit; the reported error
-bound is C / 4^n with C estimated from the integral-model discriminant.
+Canonical heights are computed as the doubling limit h(2^n P) / 4^n by one
+exact integer x-only doubling loop (the b-invariant duplication formula),
+run on the integral model for AB-form curves and on the given model
+otherwise, with a single float conversion at the end; the only
+approximation is the truncation of the limit, and the reported error
+bound is C / 4^n with C the log size of that model's discriminant.
 Sieve scores follow the convention: natural logarithm, primes p <= 3 and
 primes of bad reduction (on the integral model) skipped.  Each #E(F_p) is
 an exact count read from a cached per-prime table of square-root counts
@@ -17,10 +19,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
-from .arith import digits10, factorize, primes_up_to, rational_sqrt, worker_count
+from .arith import digits10, divisors_bounded, factorize, primes_up_to, rational_sqrt, worker_count
 from .curves import INFINITY, PRIME_CAP, Curve, CurvePoint, Point
 from .errors import (
     BadPrime,
@@ -58,13 +59,11 @@ class HeightResult:
     error_bound: float
 
 
-def _log_size(q: Fraction) -> float:
-    return math.log(max(abs(q.numerator), q.denominator, 2))
-
-
 def canonical_height(curve: Curve, P: CurvePoint, doublings: int = 8) -> HeightResult:
-    """Canonical height h(2^n P) / 4^n with exact doubling.
+    """Canonical height h(2^n P) / 4^n with exact x-only doubling.
 
+    AB-form curves are doubled on their integral model, other models as
+    given; the error constant is the log size of that model's discriminant.
     Exactly 0 (with error bound 0) when some 2^k P hits infinity, i.e. for
     2-power torsion.  Raises DigitCapExceeded if coordinates outgrow the
     digit cap, and ValueError when the requested doublings leave an error
@@ -78,39 +77,34 @@ def canonical_height(curve: Curve, P: CurvePoint, doublings: int = 8) -> HeightR
     cap = digit_cap()
 
     if curve.is_ab_form:
-        integral, lam = curve.integral_model()
-        A, B = integral.A.numerator, integral.B.numerator
-        constant = math.log(abs(16 * B * B * (A * A - 4 * B)))
+        model, lam = curve.integral_model()
         x = P.x * lam * lam
-        U, V = x.numerator, x.denominator
-        for step in range(doublings):
-            # x(2P) = (x^2 - B)^2 / (4 x (x^2 + A x + B)); a zero denominator
-            # means y = 0 or x = 0, so the next double is the identity
-            num = (U * U - B * V * V) ** 2
-            den = 4 * V * U * (U * U + A * U * V + B * V * V)
-            if den == 0:
-                return HeightResult(0.0, step + 1, 0.0)
-            g = gcd(num, den)
-            U, V = num // g, den // g
-            if V < 0:
-                U, V = -U, -V
-            if digits10(U) > cap or digits10(V) > cap:
-                raise DigitCapExceeded(
-                    f"x-coordinate exceeded {cap} digits after {step + 1} doublings"
-                )
-        value = math.log(max(abs(U), V)) / 4 ** doublings
     else:
-        constant = _log_size(curve.discriminant)
-        Q: CurvePoint = P
-        for step in range(doublings):
-            Q = curve.add(Q, Q, check=False)
-            if Q is INFINITY:
-                return HeightResult(0.0, step + 1, 0.0)
-            if digits10(Q.x.numerator) > cap or digits10(Q.x.denominator) > cap:
-                raise DigitCapExceeded(
-                    f"x-coordinate exceeded {cap} digits after {step + 1} doublings"
-                )
-        value = naive_height(Q) / 4 ** doublings
+        model, x = curve, P.x
+    disc = model.discriminant
+    constant = math.log(max(abs(disc.numerator), disc.denominator, 2))
+    b2, b4, b6, _ = model.b_invariants
+    D = math.lcm(b2.denominator, b4.denominator, b6.denominator)
+    c2, c4, c6 = (int(b * D) for b in (b2, b4, b6))
+    U, V = x.numerator, x.denominator
+    for step in range(doublings):
+        # x(2P) = ((2x^2 - b4)^2 - b6 (8x + b2)) / (4 (4x^3 + b2 x^2 + 2 b4 x + b6))
+        # at x = U/V, b_i = c_i/D; a zero denominator means 2y + a1 x + a3 = 0,
+        # so the next double is the identity
+        UU, VV = U * U, V * V
+        num = (2 * D * UU - c4 * VV) ** 2 - c6 * V * VV * (8 * D * U + c2 * V)
+        den = 4 * D * V * ((4 * D * U + c2 * V) * UU + 2 * c4 * U * VV + c6 * V * VV)
+        if den == 0:
+            return HeightResult(0.0, step + 1, 0.0)
+        g = gcd(num, den)
+        U, V = num // g, den // g
+        if V < 0:
+            U, V = -U, -V
+        if digits10(U) > cap or digits10(V) > cap:
+            raise DigitCapExceeded(
+                f"x-coordinate exceeded {cap} digits after {step + 1} doublings"
+            )
+    value = math.log(max(abs(U), V)) / 4 ** doublings
 
     error_bound = constant / 4 ** doublings
     if error_bound >= 0.01:
@@ -163,7 +157,12 @@ def _det(matrix: list[list[float]]) -> float:
     return det
 
 
-def is_probably_independent(curve: Curve, points, doublings: int = 8, tol: float = 1e-4) -> bool:
+# A regulator above this counts as evidence of independence.
+INDEPENDENCE_TOL = 1e-4
+
+
+def is_probably_independent(curve: Curve, points, doublings: int = 8,
+                            tol: float = INDEPENDENCE_TOL) -> bool:
     """True when the regulator of the points exceeds tol."""
     return regulator(curve, points, doublings) > tol
 
@@ -266,19 +265,8 @@ def point_search(curve: Curve, numerator_bound: int,
     A, B = curve.A, curve.B
     if A.denominator != 1 or B.denominator != 1:
         raise ValueError("point_search needs an integral model")
-    primes = sorted(factorize(B.numerator))
-    truncated = len(primes) > 60  # 2^60 subsets is out of reach anyway
-    divisors = [1]
-    for size in range(1, len(primes) + 1):
-        if truncated or len(divisors) >= max_divisors:
-            truncated = True
-            break
-        for combo in combinations(primes, size):
-            product = math.prod(combo)
-            divisors.append(product)
-            if len(divisors) >= max_divisors:
-                truncated = True
-                break
+    squarefree = {p: 1 for p in factorize(B.numerator)}
+    divisors, truncated = divisors_bounded(squarefree, max_count=max_divisors)
     found: set[Point] = {Point(0, 0)}
     for d in divisors:
         for e in range(1, numerator_bound + 1):

@@ -62,30 +62,6 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
-def odd_primes_from(start: int):
-    """Yield odd primes >= start in increasing order."""
-    k = max(start, 3)
-    if k % 2 == 0:
-        k += 1
-    while True:
-        if _is_small_prime(k):
-            yield k
-        k += 2
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| (n != 0)."""
     if n == 0:

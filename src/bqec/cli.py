@@ -16,7 +16,7 @@ import json
 import re
 import sys
 
-from .analysis import canonical_height, is_probably_independent, regulator, sieve
+from .analysis import INDEPENDENCE_TOL, canonical_height, regulator, sieve
 from .arith import format_rational, parse_rational
 from .curves import Curve, Point
 from .errors import (
@@ -40,7 +40,7 @@ from .quad import (
     quad_to_point,
     search_quads,
 )
-from .torsion import torsion_subgroup, two_torsion_points
+from .torsion import torsion_subgroup
 from .verify import TABLES, run as run_verification
 
 _ERROR_SLUGS = {
@@ -88,8 +88,8 @@ def _curve_from_args(args) -> Curve:
 def cmd_curve(args) -> int:
     a = parse_rational(args.a)
     curve = family_curve(a)
-    hints = [p for p, _ in family_torsion_points(a)] + two_torsion_points(curve)
-    structure = torsion_subgroup(curve, hints=hints)
+    torsion_points = family_torsion_points(a)
+    structure = torsion_subgroup(curve, hints=[P for P, _ in torsion_points])
     _emit(
         {
             "a": format_rational(a),
@@ -105,7 +105,7 @@ def cmd_curve(args) -> int:
             },
             "torsion_points": [
                 {"point": _point_json(P), "order": order}
-                for P, order in family_torsion_points(a)
+                for P, order in torsion_points
             ],
             "full_two_torsion": has_full_two_torsion(a),
         }
@@ -236,7 +236,7 @@ def cmd_regulator(args) -> int:
         {
             "regulator": value,
             "points": len(points),
-            "independent": is_probably_independent(curve, points, args.doublings),
+            "independent": value > INDEPENDENCE_TOL,
         }
     )
     return 0

@@ -3,7 +3,8 @@
 The classifier never claims more than it can certify.  It exhibits an
 actual subgroup (from caller hints, exact two-torsion, and a bounded
 divisor-shaped point search), bounds the torsion order by the gcd of
-#E(F_p) over good odd primes, and marks the result proven only when the
+#E(F_p) over good primes 3 < p <= curves.PRIME_CAP (a curve with none is
+refused with SizeCapExceeded), and marks the result proven only when the
 exhibited group exhausts every order that bound and the short list of
 torsion shapes possible over Q still allow.
 """
@@ -14,15 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors_bounded, factorize, odd_primes_from, rational_sqrt
-from .curves import INFINITY, Curve, CurvePoint, Point
-from .errors import BadPrime, BadReduction
+from .arith import divisors_bounded, factorize, primes_up_to, rational_sqrt
+from .curves import INFINITY, PRIME_CAP, Curve, CurvePoint, Point
+from .errors import BadPrime, BadReduction, SizeCapExceeded
 
 # Orders a rational torsion group can have: cyclic Z/n, or Z/2 x Z/2n of
 # order 4n (n = 1..4).
 MAZUR_CYCLIC_ORDERS = frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12})
 MAZUR_PRODUCT_ORDERS = frozenset({4, 8, 12, 16})
 MAX_FINITE_ORDER = 12
+
+# Primes the order bound may reduce at: 3 < p <= PRIME_CAP.
+_BOUND_PRIMES = tuple(p for p in primes_up_to(PRIME_CAP) if p > 3)
 
 
 @dataclass(frozen=True)
@@ -73,14 +77,15 @@ def two_torsion_points(curve: Curve) -> list[Point]:
 
 
 def torsion_order_bound(curve: Curve, prime_count: int = 12) -> int:
-    """gcd of #E(F_p) over the first prime_count good primes p > 3.
+    """gcd of #E(F_p) over the first prime_count good primes 3 < p <= PRIME_CAP.
 
     The rational torsion order divides the result (torsion injects into
-    E(F_p) at every odd prime of good reduction).
+    E(F_p) at every odd prime of good reduction).  Raises SizeCapExceeded
+    when no prime up to PRIME_CAP is good.
     """
     bound = 0
     used = 0
-    for p in odd_primes_from(5):
+    for p in _BOUND_PRIMES:
         try:
             n = curve.count_points_mod_p(p)
         except (BadPrime, BadReduction):
@@ -88,7 +93,9 @@ def torsion_order_bound(curve: Curve, prime_count: int = 12) -> int:
         bound = gcd(bound, n)
         used += 1
         if used >= prime_count or bound == 1:
-            break
+            return bound
+    if bound == 0:
+        raise SizeCapExceeded(f"no prime of good reduction up to {PRIME_CAP}")
     return bound
 
 

@@ -17,7 +17,7 @@ from bqec.analysis import (
 )
 from bqec.curves import INFINITY, Curve, Point
 from bqec.errors import DigitCapExceeded, InfinityPoint, PointNotOnCurve, SizeCapExceeded
-from bqec.family import family_curve, subfamily1_cleared
+from bqec.family import auxiliary_curve, family_curve, subfamily1_cleared
 from bqec.torsion import point_order
 
 E0, P0 = subfamily1_cleared(0)
@@ -73,6 +73,42 @@ def test_canonical_height_quadraticity():
     h1 = canonical_height(E0, P0, 8)
     h2 = canonical_height(E0, E0.multiply(2, P0), 8)
     assert abs(h2.value - 4 * h1.value) < 4 * h1.error_bound + h2.error_bound
+
+
+def _changed_model(curve, P, u, r, s, t):
+    """The model and point under x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    model = Curve(
+        (a1 + 2 * s) / u,
+        (a2 - s * a1 + 3 * r - s * s) / u ** 2,
+        (a3 + r * a1 + 2 * t) / u ** 3,
+        (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u ** 4,
+        (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) / u ** 6,
+    )
+    image = Point((P.x - r) / u ** 2, (P.y - s * (P.x - r) - t) / u ** 3)
+    assert model.contains(image)
+    return model, image
+
+
+def test_canonical_height_matches_chord_tangent_doubling():
+    # oracle: h(2^n P) / 4^n with 2^n P from Fraction chord-tangent arithmetic
+    aux = auxiliary_curve()
+    rational, P = _changed_model(aux, Point(-24, 405), F(3, 2), F(1, 3), F(1), F(-5, 2))
+    assert rational.a1 and rational.a3 and rational.a6.denominator > 1
+    shift = 5
+    shifted = Curve(a2=3 * shift, a4=3 * shift ** 2 + 7668,
+                    a6=shift ** 3 + 7668 * shift + 361881)
+    cases = [(rational, P, 7), (shifted, Point(-38 - shift, 125), 7), (aux, Point(12, 675), 6)]
+    for curve, point, n in cases:
+        assert not curve.is_ab_form
+        expected = naive_height(curve.multiply(2 ** n, point)) / 4 ** n
+        assert canonical_height(curve, point, n).value == expected
+
+
+def test_canonical_height_two_torsion_on_general_model():
+    model, T = _changed_model(E10, Point(0, 0), F(2), F(1), F(1), F(3))
+    assert model.a1 and model.a3
+    assert canonical_height(model, T, 8) == canonical_height(E10, Point(0, 0), 8)
 
 
 def test_digit_cap(monkeypatch):

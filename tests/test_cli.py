@@ -173,6 +173,25 @@ def test_regulator_command(capsys):
     assert lines[0]["points"] == 1
 
 
+def test_regulator_command_computes_heights_once(capsys, monkeypatch):
+    import bqec.analysis
+
+    calls = []
+    height = bqec.analysis.canonical_height
+
+    def counting(*args):
+        calls.append(args)
+        return height(*args)
+
+    monkeypatch.setattr(bqec.analysis, "canonical_height", counting)
+    code, lines = run_json(
+        capsys, "regulator", "--a", "10", "--point=-32,-864", "--point=40,3960"
+    )
+    assert code == 0
+    assert lines[0]["independent"] is False  # the second point is torsion
+    assert len(calls) == 3  # h(P), h(Q) and h(P + Q), once each
+
+
 def test_verify_command(capsys):
     code, lines = run_json(capsys, "verify", "progressions")
     assert code == 0

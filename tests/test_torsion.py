@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from bqec.curves import INFINITY, Point
-from bqec.errors import PointNotOnCurve
+from bqec.cli import main
+from bqec.curves import INFINITY, Curve, Point
+from bqec.errors import BadReduction, PointNotOnCurve, SizeCapExceeded
 from bqec.family import (
     SHARED_HIGH_RANK_CURVE,
     auxiliary_curve,
@@ -61,6 +62,21 @@ def test_torsion_order_bound():
     assert torsion_order_bound(E6) % 16 == 0
     # with a single prime the bound is just that prime's point count
     assert torsion_order_bound(E10, prime_count=1) == E10.count_points_mod_p(7)
+
+
+def test_torsion_order_bound_needs_a_good_prime(monkeypatch, capsys):
+    primes = []
+
+    def all_bad(self, p):
+        primes.append(p)
+        raise BadReduction(f"p = {p} is bad")
+
+    monkeypatch.setattr(Curve, "count_points_mod_p", all_bad)
+    with pytest.raises(SizeCapExceeded):
+        torsion_order_bound(E10)
+    assert primes[0] == 5 and primes[-1] == 9973  # the largest prime below 10^4
+    assert main(["curve", "--a", "10"]) == 4
+    assert '"error": "size-cap-exceeded"' in capsys.readouterr().out
 
 
 def test_torsion_subgroup_families():

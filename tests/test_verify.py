@@ -1,5 +1,8 @@
 """The embedded verification corpora all pass and stay deterministic."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from bqec.verify import (
@@ -11,12 +14,21 @@ from bqec.verify import (
 )
 
 
+DATA = Path(__file__).parent / "data"
+
+
 @pytest.mark.parametrize("table", TABLES)
 def test_corpus_has_no_failures(table):
     reports = run(table)
     assert reports
     failures = [report for report in reports if report.status == FAIL]
     assert failures == []
+    # the lines `bqec verify <table>` prints, pinned byte for byte
+    lines = [
+        json.dumps({"item": report.item, "status": report.status, "detail": report.detail})
+        for report in reports
+    ]
+    assert lines == (DATA / f"verify_{table}.jsonl").read_text(encoding="utf-8").splitlines()
 
 
 def test_documented_discrepancies_present():
