@@ -7,6 +7,8 @@ import os
 import re
 from fractions import Fraction
 
+from .errors import DigitCapExceeded
+
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 
@@ -18,11 +20,16 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:  # well formed, so longer than the int<->str limit
+        raise DigitCapExceeded(str(exc)) from None
 
 
 def format_rational(q: Fraction) -> str:
     """Inverse of parse_rational: 'p' for integers, 'p/q' otherwise."""
-    return str(q)
+    try:
+        return str(q)
+    except ValueError as exc:  # longer than the int<->str limit
+        raise DigitCapExceeded(str(exc)) from None
 
 
 def isqrt_exact(n: int) -> int | None:

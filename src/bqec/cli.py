@@ -13,10 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
-from .analysis import INDEPENDENCE_TOL, canonical_height, regulator, sieve
+from .analysis import (
+    DEFAULT_DIGIT_CAP,
+    DIGIT_CAP_ENV,
+    INDEPENDENCE_TOL,
+    canonical_height,
+    regulator,
+    sieve,
+)
 from .arith import format_rational, parse_rational
 from .curves import Curve, Point
 from .errors import (
@@ -311,9 +319,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A long option without a value, and a value that starts like a negative
+# number; no option name starts with a digit, so such a token is a value.
+_BARE_OPTION = re.compile(r"--[^=]+\Z")
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite '--opt -7/3' as '--opt=-7/3'.  argparse reads a token that
+    starts with '-' as an option unless it looks like a negative number,
+    which -7/3 and -32,-864 do not."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and _NEGATIVE_VALUE.match(token) and _BARE_OPTION.match(joined[-1]):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    limit = sys.get_int_max_str_digits()
     try:
+        # The interpreter's int<->str limit (4300 digits by default) would
+        # reject valid input far below the digit cap, so the cap sets it.
+        cap = int(os.environ.get(DIGIT_CAP_ENV) or DEFAULT_DIGIT_CAP)
+        sys.set_int_max_str_digits(max(cap, sys.int_info.str_digits_check_threshold))
         return args.func(args)
     except (DigitCapExceeded, SizeCapExceeded) as exc:
         _emit_error(exc)
@@ -324,6 +356,8 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         _emit_error(exc)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

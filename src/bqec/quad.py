@@ -9,13 +9,21 @@ radius ratio
 This module computes N exactly, maps quadrilaterals with rational N to
 rational points on the family curve (and back), builds the isosceles
 trapezoid family, and searches integer-sided quadrilaterals.
+
+The search fixes the least side a and walks b <= d only, since swapping b
+and d reflects the quadrilateral.  For each (a, b) it ANDs one bitset over c
+per small modulus m, with bit c set when the triple (ab+cd)(ac+bd)(ad+bc) is
+a square modulo m, and tests only the surviving c exactly with isqrt.  A
+non-square modulo m is not a square, so the masks never drop a hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
+from operator import and_
 
 from .arith import rational_sqrt, worker_count
 from .curves import Point
@@ -25,6 +33,7 @@ from .errors import (
     NotRealizable,
     OutOfRange,
     PointNotOnCurve,
+    SizeCapExceeded,
     ZeroU,
 )
 from .family import family_curve
@@ -188,21 +197,46 @@ def trapezoid(k: Fraction) -> tuple[Quadrilateral, Fraction]:
 # ----------------------------------------------------------------------
 # integer search
 
-# quadratic-residue tables for a cheap perfect-square prefilter
-_SQ_MOD_64 = frozenset((i * i) % 64 for i in range(64))
-_SQ_MOD_63 = frozenset((i * i) % 63 for i in range(63))
-_SQ_MOD_65 = frozenset((i * i) % 65 for i in range(65))
+# Largest max_side that search_quads accepts.  The search is O(max_side^3):
+# search-quads --max-side 2000 takes about 9 s on one core of a 2-core host.
+MAX_SIDE_CAP = 2000
+
+# Moduli of the residue masks, chosen by timing.  Over the c of a search at
+# max side 248, 2, 4 and 8 remove none, 16 removes 13%, 9 no more than 3 and
+# 25 more than 5; a modulus past 31 costs more per (a, b) than it saves there.
+_MASK_MODULI = (3, 25, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-def _is_square(n: int) -> bool:
-    if n % 64 not in _SQ_MOD_64:
-        return False
-    if n % 63 not in _SQ_MOD_63:
-        return False
-    if n % 65 not in _SQ_MOD_65:
-        return False
-    r = isqrt(n)
-    return r * r == n
+def _triple(a: int, b: int, c: int, d: int) -> int:
+    """(ab+cd)(ac+bd)(ad+bc): the radius ratio is rational exactly when this
+    is a square."""
+    return (a * b + c * d) * (a * c + b * d) * (a * d + b * c)
+
+
+@cache
+def _mask_table(m: int) -> tuple[int, ...]:
+    """Entry (a % m) * m + b % m has bit c (0 <= c < m) set when the triple
+    of the sides (a, b, c, a + c - b) is a square modulo m."""
+    square = [False] * m
+    for x in range(m):
+        square[x * x % m] = True
+    return tuple(
+        sum(1 << c for c in range(m) if square[_triple(a, b, c, a + c - b) % m])
+        for a in range(m)
+        for b in range(m)
+    )
+
+
+def _row_masks(max_side: int) -> list[tuple[int, list[int]]]:
+    """Each modulus m with its mask table, every bitset repeated along c and
+    shifted so that bit j of entry (a % m) * m + b % m stands for
+    c = 2b - a + j, for c up to max_side."""
+    rows = []
+    for m in _MASK_MODULI:
+        spread = ((1 << (m * (max_side // m + 2))) - 1) // ((1 << m) - 1)  # a bit every m places
+        table = _mask_table(m)
+        rows.append((m, [(table[i] * spread) >> ((2 * (i % m) - i // m) % m) for i in range(m * m)]))
+    return rows
 
 
 def _canonical(sides: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -219,17 +253,36 @@ def _canonical(sides: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
 def search_quads_range(
     a_lo: int, a_hi: int, max_side: int
 ) -> set[tuple[int, int, int, int]]:
-    """Canonical integer quadruples with first side in [a_lo, a_hi) whose
-    radius ratio is rational.  Worker for search_quads."""
+    """Canonical integer quadruples (a, b, c, d), a + c = b + d, with least
+    side a in [a_lo, a_hi), every side <= max_side and rational radius ratio.
+    Worker for search_quads.
+
+    Swapping b and d reflects the quadrilateral and keeps the triple, so only
+    b <= d is searched: c runs over [2b - a, max_side].  For each (a, b) the
+    residue masks of every modulus in _MASK_MODULI are AND-ed, and only the c
+    whose triple is a square modulo all of them get the exact isqrt test.
+    """
     hits: set[tuple[int, int, int, int]] = set()
+    masks = _row_masks(max_side)
+    below = [(1 << n) - 1 for n in range(max_side + 2)]  # bits 0 .. n-1
     for a in range(a_lo, a_hi):
-        for b in range(a, max_side + 1):  # canonical form has a = min side
-            for c in range(a, max_side + 1):
+        b_hi = (a + max_side) // 2
+        # row b - a holds bit j for c = 2b - a + j <= max_side
+        rows = below[max_side + 1 - a:0:-2]
+        for m, table in masks:
+            base = a % m * m
+            cycle = [table[base + b % m] for b in range(a, a + m)]
+            rows = map(and_, rows, cycle * ((b_hi - a) // m + 1))
+        for b, row in zip(range(a, b_hi + 1), rows):
+            low_c = 2 * b - a
+            while row:
+                bit = row & -row
+                row ^= bit
+                c = low_c + bit.bit_length() - 1
                 d = a + c - b
-                if d < a or d > max_side:
-                    continue
-                triple = (a * b + c * d) * (a * c + b * d) * (a * d + b * c)
-                if _is_square(triple):
+                triple = _triple(a, b, c, d)
+                root = isqrt(triple)
+                if root * root == triple:
                     hits.add(_canonical((a, b, c, d)))
     return hits
 
@@ -241,6 +294,8 @@ def search_quads(max_side: int, jobs: int = 1) -> list[tuple[Quadrilateral, Frac
     jobs > 1 spreads the rows over that many processes, at most one per CPU."""
     if max_side < 1:
         raise ValueError("max_side must be >= 1")
+    if max_side > MAX_SIDE_CAP:
+        raise SizeCapExceeded(f"max side {max_side} exceeds the cap {MAX_SIDE_CAP}")
     workers = worker_count(jobs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

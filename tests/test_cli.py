@@ -3,9 +3,15 @@
 import concurrent.futures
 import json
 import os
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+from bqec.arith import format_rational
 from bqec.cli import main
+from bqec.quad import trapezoid
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +109,52 @@ def test_search_quads_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "a,b,c,d,N"
     assert all(line.count(",") == 4 for line in lines[1:])
+
+
+def test_search_quads_pinned_output(capsys):
+    # recorded from the triple-loop search that the residue masks replaced
+    expected = (DATA / "search_quads_300.jsonl").read_text(encoding="utf-8")
+    _, serial = run_cli(capsys, "search-quads", "--max-side", "300")
+    _, pooled = run_cli(capsys, "search-quads", "--max-side", "300", "--jobs", "2")
+    assert serial == expected
+    assert pooled == expected
+
+
+def test_search_quads_cap_exit_code(capsys):
+    code, lines = run_json(capsys, "search-quads", "--max-side", "2001")
+    assert code == 4
+    assert lines == [
+        {"error": "size-cap-exceeded", "detail": "max side 2001 exceeds the cap 2000"}
+    ]
+
+
+def test_quad_sides_longer_than_int_str_limit(capsys, monkeypatch):
+    # a valid trapezoid with 2404-digit sides: its output passes the
+    # interpreter's 4300-digit int<->str limit, but not the digit cap
+    quad, n = trapezoid(F(10 ** 600 + 1, 3 * 10 ** 600 + 7))
+    sides = ",".join(format_rational(side) for side in quad.sides)
+    assert max(len(format_rational(side)) for side in quad.sides) == 2404
+    limit = sys.get_int_max_str_digits()
+    code, lines = run_json(capsys, "quad", "--sides", sides)
+    assert code == 0
+    assert lines[0]["N"] == format_rational(n)
+    assert sys.get_int_max_str_digits() == limit
+    monkeypatch.setenv("BQEC_DIGIT_CAP", "1000")
+    code, lines = run_json(capsys, "quad", "--sides", sides)
+    assert code == 4
+    assert lines[0]["error"] == "digit-cap-exceeded"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_negative_rational_as_separate_argument(capsys):
+    code, joined = run_cli(capsys, "curve", "--a=-7/3")
+    assert code == 0
+    code, separate = run_cli(capsys, "curve", "--a", "-7/3")
+    assert code == 0
+    assert separate == joined
+    code, lines = run_json(capsys, "regulator", "--a", "10", "--point", "-32,-864")
+    assert code == 0
+    assert lines[0]["points"] == 1
 
 
 def test_sieve_json(capsys):

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
+import bqec.quad
 from bqec.curves import Point
 from bqec.errors import (
     IrrationalN,
@@ -13,12 +14,15 @@ from bqec.errors import (
     NotRealizable,
     OutOfRange,
     PointNotOnCurve,
+    SizeCapExceeded,
     ZeroU,
 )
 from bqec.family import family_curve
 from bqec.quad import (
+    MAX_SIDE_CAP,
     Quadrilateral,
     _canonical,
+    _mask_table,
     bicentric_data,
     n_ratio,
     point_to_quad,
@@ -177,6 +181,52 @@ def test_search_quads_properties():
         perimeter = sum(sides)
         assert perimeter >= last_perimeter
         last_perimeter = perimeter
+
+
+def test_search_quads_matches_brute_force():
+    # every quadruple with a + c = b + d, judged by bicentric_data alone and
+    # reduced by its own least rotation/reflection of the primitive sides
+    max_side = 40
+    found = set()
+    for a in range(1, max_side + 1):
+        for b in range(1, max_side + 1):
+            for c in range(1, max_side + 1):
+                d = a + c - b
+                if 1 <= d <= max_side and bicentric_data(Quadrilateral(a, b, c, d)).n is not None:
+                    g = gcd(a, b, c, d)
+                    t = (a // g, b // g, c // g, d // g)
+                    found.add(min(seq[i:] + seq[:i] for seq in (t, t[::-1]) for i in range(4)))
+    expected = sorted(found, key=lambda sides: (sum(sides), sides))
+    assert [tuple(int(x) for x in quad.sides) for quad, _ in search_quads(max_side)] == expected
+
+
+def test_residue_masks_are_sound():
+    # the masks may only drop c whose triple is a non-square modulo m
+    for m in bqec.quad._MASK_MODULI:
+        squares = {x * x % m for x in range(m)}
+        table = _mask_table(m)
+        dropped = 0
+        for a in range(m):
+            for b in range(m):
+                for c in range(m):
+                    d = (a + c - b) % m
+                    triple = (a * b + c * d) * (a * c + b * d) * (a * d + b * c) % m
+                    set_bit = table[a * m + b] >> c & 1
+                    if triple in squares:
+                        assert set_bit, (m, a, b, c)
+                    dropped += not set_bit
+        assert dropped  # each modulus filters something
+
+
+def test_search_quads_cap(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched past the cap")
+
+    monkeypatch.setattr(bqec.quad, "search_quads_range", no_search)
+    with pytest.raises(SizeCapExceeded):
+        search_quads(MAX_SIDE_CAP + 1)
+    with pytest.raises(SizeCapExceeded):
+        search_quads(MAX_SIDE_CAP + 1, jobs=2)
 
 
 def test_toth_inequality_on_corpus():
