@@ -1,13 +1,24 @@
-"""Small helpers: rational I/O, square roots, primes, factoring, worker counts."""
+"""Small helpers: rational I/O, square roots, primes, factoring, worker counts.
+
+Everything here uses only the standard library.  The package's one prime
+list, SMALL_PRIMES (every prime up to PRIME_CAP), is sieved at import.
+factorize is a bounded factorizer: trial division by that list, integer
+k-th roots for perfect powers, the Baillie-PSW probable-prime test
+(Baillie and Wagstaff, Math. Comp. 35, 1980) and Pollard-Brent rho
+(Brent, BIT 20, 1980).  Rho is capped at RHO_STEP_CAP steps per cofactor,
+so a number with two prime factors above about 10^12 may raise
+SizeCapExceeded instead of running without end.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
 from fractions import Fraction
 
-from .errors import DigitCapExceeded
+from .errors import DigitCapExceeded, SizeCapExceeded
 
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
@@ -69,13 +80,150 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+# Largest prime the package works with: factorize trial-divides up to it,
+# curves caches root-count tables up to it, sieve prime bounds may not pass
+# it and the torsion order bound reduces only at primes below it.
+PRIME_CAP = 10 ** 4
+SMALL_PRIMES = tuple(primes_up_to(PRIME_CAP))
+
+# Pollard-Brent rho steps allowed per composite cofactor: about 3 s on a
+# 71-digit cofactor (one core of a 2-core host).  A prime factor below
+# about 10^12 is found inside it; a cofactor with two larger ones may not be.
+RHO_STEP_CAP = 1 << 22
+_RHO_BATCH = 128  # steps whose differences share one gcd
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| (n != 0)."""
+    """Prime factorization of |n| (n != 0), primes in increasing order.
+
+    Raises SizeCapExceeded when a cofactor needs more than RHO_STEP_CAP
+    rho steps to split.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
-    from sympy import factorint  # deferred import keeps startup light
+    n = abs(n)
+    factors: dict[int, int] = {}
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+    # Every prime factor left exceeds PRIME_CAP, so a number below its square is prime.
+    pending = [(n, 1)] if n > 1 else []
+    while pending:
+        m, e = pending.pop()
+        if m >= PRIME_CAP * PRIME_CAP:
+            m, k = _perfect_power(m)
+            e *= k
+            if not _is_probable_prime(m):
+                d = _rho_divisor(m)
+                pending += [(d, e), (m // d, e)]
+                continue
+        factors[m] = factors.get(m, 0) + e
+    return dict(sorted(factors.items()))
 
-    return {int(p): int(e) for p, e in factorint(abs(n)).items()}
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above (no floats)."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, k) with r**k == n and k largest, for n with no prime factor <= PRIME_CAP."""
+    power = 1
+    for k in SMALL_PRIMES:
+        if PRIME_CAP ** k > n:  # a k-th root would be at most PRIME_CAP
+            break
+        r = _iroot(n, k)
+        while r ** k == n:
+            n, power = r, power * k
+            r = _iroot(n, k)
+    return n, power
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == n % 4 == 3:  # quadratic reciprocity
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Baillie-PSW, for odd n > 3 that is not a perfect square: a strong
+    base-2 test, then a strong Lucas test with P = 1 and Selfridge's D."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    x = pow(2, (n - 1) >> s, n)
+    if x != 1 and x != n - 1:
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    D = 5
+    while _jacobi(D, n) != -1:
+        D = -D - 2 if D > 0 else -D + 2
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2^s, d odd
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k and Q^k at k = 1
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n by Pollard-Brent rho, x -> x^2 + c
+    for c = 1, 2, ...; raises SizeCapExceeded past RHO_STEP_CAP steps."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > RHO_STEP_CAP:
+                digits = digits10(n)
+                digits -= n < 10 ** (digits - 1)  # digits10 may count one too many
+                raise SizeCapExceeded(f"factoring gave up on a {digits}-digit cofactor "
+                                      f"after {RHO_STEP_CAP} Pollard rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def divisors_bounded(

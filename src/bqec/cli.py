@@ -51,15 +51,8 @@ from .quad import (
 from .torsion import torsion_subgroup
 from .verify import TABLES, run as run_verification
 
-_ERROR_SLUGS = {
-    IrrationalN: "irrational-n",
-    ZeroU: "zero-u",
-}
-
 
 def _slug(exc: Exception) -> str:
-    if type(exc) in _ERROR_SLUGS:
-        return _ERROR_SLUGS[type(exc)]
     name = type(exc).__name__
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
 

@@ -17,13 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import factorize
+from .arith import PRIME_CAP, factorize
 from .errors import BadPrime, BadReduction, PointNotOnCurve, SingularCurve
-
-
-# Largest prime whose root-count table is cached (all of them take about
-# 5.8 MB); also the largest prime bound a sieve accepts.
-PRIME_CAP = 10 ** 4
 
 _ROOT_COUNTS: dict[int, bytes] = {}
 
@@ -37,7 +32,7 @@ def _root_counts(p: int) -> bytes:
         for y in range(1, (p + 1) // 2):
             counts[y * y % p] = 2
         table = bytes(counts)
-        if p <= PRIME_CAP:
+        if p <= PRIME_CAP:  # all of them take about 5.8 MB
             _ROOT_COUNTS[p] = table
     return table
 

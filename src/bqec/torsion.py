@@ -3,7 +3,7 @@
 The classifier never claims more than it can certify.  It exhibits an
 actual subgroup (from caller hints, exact two-torsion, and a bounded
 divisor-shaped point search), bounds the torsion order by the gcd of
-#E(F_p) over good primes 3 < p <= curves.PRIME_CAP (a curve with none is
+#E(F_p) over good primes 3 < p <= arith.PRIME_CAP (a curve with none is
 refused with SizeCapExceeded), and marks the result proven only when the
 exhibited group exhausts every order that bound and the short list of
 torsion shapes possible over Q still allow.
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors_bounded, factorize, primes_up_to, rational_sqrt
-from .curves import INFINITY, PRIME_CAP, Curve, CurvePoint, Point
+from .arith import PRIME_CAP, SMALL_PRIMES, divisors_bounded, factorize, rational_sqrt
+from .curves import INFINITY, Curve, CurvePoint, Point
 from .errors import BadPrime, BadReduction, SizeCapExceeded
 
 # Orders a rational torsion group can have: cyclic Z/n, or Z/2 x Z/2n of
@@ -24,9 +24,14 @@ from .errors import BadPrime, BadReduction, SizeCapExceeded
 MAZUR_CYCLIC_ORDERS = frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12})
 MAZUR_PRODUCT_ORDERS = frozenset({4, 8, 12, 16})
 MAX_FINITE_ORDER = 12
+# Good primes the order bound reduces at, at most.
+BOUND_PRIME_COUNT = 12
+# The divisor-shaped search tries x = +-d for divisors d <= X_BOUND of the
+# integral B, and at most MAX_DIVISORS of them.
+X_BOUND = 10 ** 6
+MAX_DIVISORS = 10 ** 4
 
-# Primes the order bound may reduce at: 3 < p <= PRIME_CAP.
-_BOUND_PRIMES = tuple(p for p in primes_up_to(PRIME_CAP) if p > 3)
+_BOUND_PRIMES = SMALL_PRIMES[2:]  # 3 < p <= PRIME_CAP
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ def two_torsion_points(curve: Curve) -> list[Point]:
     return points
 
 
-def torsion_order_bound(curve: Curve, prime_count: int = 12) -> int:
+def torsion_order_bound(curve: Curve, prime_count: int = BOUND_PRIME_COUNT) -> int:
     """gcd of #E(F_p) over the first prime_count good primes 3 < p <= PRIME_CAP.
 
     The rational torsion order divides the result (torsion injects into
@@ -161,17 +166,17 @@ def _possible_orders(bound: int, exact_two_torsion: int | None) -> set[int]:
     return divisors & allowed
 
 
-def _divisor_candidates(curve: Curve, x_bound: int, max_divisors: int) -> list[Point]:
+def _divisor_candidates(curve: Curve) -> list[Point]:
     """Divisor-shaped integral points on the integral model, mapped back.
 
     Torsion x-coordinates on the curves handled here divide the integral
-    B coefficient, so candidates are x = +-d with d | B, |d| <= x_bound.
+    B coefficient, so candidates are x = +-d with d | B, |d| <= X_BOUND.
     """
     integral, lam = curve.integral_model()
     B_int = integral.B.numerator
     if B_int == 0:
         return []
-    divisors, _ = divisors_bounded(factorize(B_int), bound=x_bound, max_count=max_divisors)
+    divisors, _ = divisors_bounded(factorize(B_int), bound=X_BOUND, max_count=MAX_DIVISORS)
     found = []
     A, B = integral.A, integral.B
     for d in divisors:
@@ -190,9 +195,6 @@ def _divisor_candidates(curve: Curve, x_bound: int, max_divisors: int) -> list[P
 def torsion_subgroup(
     curve: Curve,
     hints: tuple[CurvePoint, ...] | list[CurvePoint] = (),
-    prime_count: int = 12,
-    x_bound: int = 10 ** 6,
-    max_divisors: int = 10 ** 4,
 ) -> TorsionStructure:
     """Classify the rational torsion subgroup.
 
@@ -203,7 +205,7 @@ def torsion_subgroup(
     """
     for P in hints:
         curve.require(P)
-    bound = torsion_order_bound(curve, prime_count)
+    bound = torsion_order_bound(curve)
 
     exact_t2: int | None = None
     seeds: set[CurvePoint] = set()
@@ -219,7 +221,7 @@ def torsion_subgroup(
     def build(with_search: bool) -> tuple[str, int, tuple[Point, ...], bool]:
         pool = set(seeds)
         if with_search and curve.is_ab_form:
-            for P in _divisor_candidates(curve, x_bound, max_divisors):
+            for P in _divisor_candidates(curve):
                 if point_order(curve, P, check=False) is not None:
                     pool.add(P)
         group = _closure(curve, pool)

@@ -1,6 +1,8 @@
 """Rational I/O, square roots, primes, factoring helpers."""
 
+import math
 import os
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +16,7 @@ from bqec.arith import (
     rational_sqrt,
     worker_count,
 )
+from bqec.errors import SizeCapExceeded
 
 
 def test_parse_rational():
@@ -45,6 +48,77 @@ def test_factorize():
     assert factorize(1) == {}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def _trial_division(n):
+    """Reference factorization for the factorize tests: divide by 2, then by every odd d."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            factors[d] = factors.get(d, 0) + 1
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 10 ** 5 + 1):
+        assert factorize(n) == _trial_division(n), n
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randrange(10 ** 5, 10 ** 12)
+        assert factorize(n) == _trial_division(n), n
+
+
+MERSENNE_PRIMES = (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1)
+
+
+def test_factorize_round_trips_mersenne_products_and_powers():
+    m31, m61, m89, m127 = MERSENNE_PRIMES
+    cases = [{m: 1} for m in MERSENNE_PRIMES]
+    cases += [{m: e} for m in MERSENNE_PRIMES for e in (2, 3, 5)]
+    cases += [
+        {m31: 1, m61: 1},
+        {m31: 2, m89: 1},
+        {m31: 1, m127: 3},
+        {2: 7, 3: 1, 9973: 2, m31: 3, m61: 1},
+        {10007: 1, m89: 2},
+    ]
+    for factors in cases:
+        n = math.prod(p ** e for p, e in factors.items())
+        assert factorize(n) == factors
+        assert factorize(-n) == factors
+
+
+def test_factorize_splits_strong_pseudoprimes():
+    # 3215031751 passes the strong test to bases 2, 3, 5 and 7; psi_13 to
+    # every prime base up to 41.  Neither may come back as a prime.
+    psi13 = 3317044064679887385961981
+    assert factorize(3215031751) == {151: 1, 751: 1, 28351: 1}
+    assert factorize(psi13) == {1287836182261: 1, 2575672364521: 1}
+    assert factorize(psi13 ** 2 * 3215031751) == {
+        151: 1, 751: 1, 28351: 1, 1287836182261: 2, 2575672364521: 2,
+    }
+
+
+def test_factorize_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(90)
+    corpus = [rng.getrandbits(rng.randint(2, 90)) or 1 for _ in range(300)]
+    corpus += [sympy.nextprime(rng.getrandbits(rng.randint(2, 30)))
+               * sympy.nextprime(rng.getrandbits(30)) * rng.randint(1, 10 ** 6) for _ in range(60)]
+    checked = 0
+    for n in corpus:
+        try:
+            got = factorize(n)
+        except SizeCapExceeded:
+            continue
+        assert got == {int(p): e for p, e in sympy.factorint(n).items()}, n
+        checked += 1
+    assert checked >= len(corpus) - 5
 
 
 def test_divisors_bounded():

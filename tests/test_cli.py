@@ -3,10 +3,12 @@
 import concurrent.futures
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import bqec
 from bqec.arith import format_rational
 from bqec.cli import main
 from bqec.quad import trapezoid
@@ -79,6 +81,9 @@ def test_quad_unrealizable(capsys):
     assert payload["error"] == "not-realizable"
     assert payload["side"] == "c"
     assert payload["value"] == "-8/15"
+    code, lines = run_json(capsys, "quad", "--a", "10", "--u", "0", "--v", "0")
+    assert code == 3
+    assert lines[0]["error"] == "zero-u"
 
 
 def test_quad_irrational(capsys):
@@ -155,6 +160,37 @@ def test_negative_rational_as_separate_argument(capsys):
     code, lines = run_json(capsys, "regulator", "--a", "10", "--point", "-32,-864")
     assert code == 0
     assert lines[0]["points"] == 1
+
+
+def test_curve_factoring_cap_exit_code(capsys):
+    # a = 1/N with N = nextprime(10^35) * nextprime(3 * 10^35): the integral
+    # model needs N factored, and both primes are far beyond Pollard rho
+    N = 30000000000000000000000000000000040600000000000000000000000000000013731
+    code, lines = run_json(capsys, "curve", f"--a=1/{N}")
+    assert code == 4
+    assert lines[0]["error"] == "size-cap-exceeded"
+    assert "71-digit" in lines[0]["detail"]
+    assert str(N) not in lines[0]["detail"]
+
+
+def test_cli_loads_only_the_standard_library():
+    # -S keeps site-packages hooks out of the fresh process, so every module
+    # outside the standard library that it holds was imported by bqec
+    script = "\n".join([
+        "import sys",
+        "from bqec.cli import main",
+        "code = main(['curve', '--a', '10'])",
+        "print(sorted({m.split('.')[0] for m in sys.modules} - set(sys.stdlib_module_names)))",
+        "sys.exit(code)",
+    ])
+    src = Path(bqec.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert result.returncode == 0, result.stderr
+    curve, loaded = result.stdout.splitlines()
+    assert json.loads(curve)["torsion"]["shape"] == "Z/8"
+    assert loaded == "['__main__', 'bqec']"
 
 
 def test_sieve_json(capsys):
