@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 
 from .analysis import (
     DEFAULT_DIGIT_CAP,
@@ -255,6 +256,14 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The bqec argument parser.  It is built once per process, on first use
+    (not at import), and reused: parse_args leaves it unchanged and gives
+    every call a fresh namespace."""
+    return _make_parser()
+
+
+@cache
+def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bqec",
         description="Exact arithmetic for bicentric quadrilaterals with rational "

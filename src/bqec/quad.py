@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, isqrt, lcm
 from operator import and_
 
@@ -227,6 +227,15 @@ def _mask_table(m: int) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=1)
+def _search_tables(max_side: int) -> tuple[list[tuple[int, list[int]]], list[int]]:
+    """The row masks of a search up to max_side, and the list below[n] of the
+    bitsets with bits 0 .. n-1 set, both read-only.  Each process keeps those
+    of its latest max_side, so a pooled search builds them once per worker,
+    not once per 8-row chunk."""
+    return _row_masks(max_side), [(1 << n) - 1 for n in range(max_side + 2)]
+
+
 def _row_masks(max_side: int) -> list[tuple[int, list[int]]]:
     """Each modulus m with its mask table, every bitset repeated along c and
     shifted so that bit j of entry (a % m) * m + b % m stands for
@@ -263,8 +272,7 @@ def search_quads_range(
     whose triple is a square modulo all of them get the exact isqrt test.
     """
     hits: set[tuple[int, int, int, int]] = set()
-    masks = _row_masks(max_side)
-    below = [(1 << n) - 1 for n in range(max_side + 2)]  # bits 0 .. n-1
+    masks, below = _search_tables(max_side)
     for a in range(a_lo, a_hi):
         b_hi = (a + max_side) // 2
         # row b - a holds bit j for c = 2b - a + j <= max_side

@@ -7,6 +7,13 @@ divisor-shaped point search), bounds the torsion order by the gcd of
 refused with SizeCapExceeded), and marks the result proven only when the
 exhibited group exhausts every order that bound and the short list of
 torsion shapes possible over Q still allow.
+
+The exhibited group is closed and classified from one addition table:
+each element that joins is added once to every earlier element and to
+itself, so the table has one entry per unordered pair, at most 136 for
+order 16.  Sums with the identity need no group law, which therefore runs
+at most 120 times.  Element orders and the span of a generator are read
+from the table instead of recomputed by repeated addition.
 """
 
 from __future__ import annotations
@@ -104,49 +111,71 @@ def torsion_order_bound(curve: Curve, prime_count: int = BOUND_PRIME_COUNT) -> i
     return bound
 
 
-def _closure(curve: Curve, points: set[CurvePoint]) -> set[CurvePoint]:
-    group: set[CurvePoint] = {INFINITY} | points
-    while True:
-        members = list(group)
-        new = set()
-        for P in members:
-            for Q in members:
-                R = curve.add(P, Q, check=False)
-                if R not in group:
-                    new.add(R)
-        if not new:
-            return group
-        group |= new
-        if len(group) > 16:
-            raise RuntimeError("torsion closure exceeded order 16; non-torsion input?")
+class _GroupTable:
+    """The subgroup generated by some torsion points, with its addition table.
 
+    elements[0] is INFINITY.  Each element that joins is added once to every
+    member that joined before it and to itself, so the group law runs once
+    per unordered pair of non-identity elements; sums[i][j] (j <= i) holds
+    the index of elements[i] + elements[j].  A sum not yet in the group
+    joins it, until every sum is a member.
+    """
 
-def _element_order(curve: Curve, P: CurvePoint) -> int:
-    order = point_order(curve, P, check=False)
-    if order is None:
-        raise RuntimeError(f"{P} has infinite order inside a torsion closure")
-    return order
+    def __init__(self, curve: Curve, points) -> None:
+        self.elements: list[CurvePoint] = [INFINITY]
+        self.index: dict[CurvePoint, int] = {INFINITY: 0}
+        self.sums: list[list[int]] = [[0]]
+        for P in points:
+            self._join(P)
+        i = 1
+        while i < len(self.elements):
+            P = self.elements[i]
+            row = [i]
+            for j in range(1, i + 1):
+                row.append(self._join(curve.add(P, self.elements[j], check=False)))
+            self.sums.append(row)
+            i += 1
+
+    def _join(self, P: CurvePoint) -> int:
+        i = self.index.get(P)
+        if i is None:
+            i = self.index[P] = len(self.elements)
+            self.elements.append(P)
+            if len(self.elements) > 16:
+                raise RuntimeError("torsion closure exceeded order 16; non-torsion input?")
+        return i
+
+    def multiples(self, i: int) -> list[int]:
+        """Indices of O, P, 2P, ... up to the last multiple before O, for
+        P = elements[i]; their number is the order of P."""
+        multiples = [0]
+        k = i
+        while k:
+            multiples.append(k)
+            k = self.sums[k][i] if i <= k else self.sums[i][k]
+        return multiples
 
 
 def _sorted_affine(points) -> list[Point]:
     return sorted((P for P in points if isinstance(P, Point)), key=lambda P: (P.x, P.y))
 
 
-def _classify(curve: Curve, group: set[CurvePoint]) -> tuple[str, int, tuple[Point, ...]]:
-    n = len(group)
+def _classify(table: _GroupTable) -> tuple[str, int, tuple[Point, ...]]:
+    elements = table.elements
+    n = len(elements)
     if n == 1:
         return "Z/1", 1, ()
-    orders = {P: _element_order(curve, P) for P in group}
-    max_order = max(orders.values())
-    gens_pool = _sorted_affine(P for P, o in orders.items() if o == max_order)
+    orders = [len(table.multiples(i)) for i in range(n)]
+    max_order = max(orders)
+    gens_pool = _sorted_affine(P for P, o in zip(elements, orders) if o == max_order)
     if max_order == n:
         return f"Z/{n}", n, (gens_pool[0],)
     # not cyclic: over Q this forces Z/2 x Z/(n/2)
     if 2 * max_order != n:
         raise RuntimeError(f"group of order {n} with exponent {max_order} is impossible over Q")
     gen = gens_pool[0]
-    span = {curve.multiply(k, gen, check=False) for k in range(max_order)}
-    extra = _sorted_affine(P for P, o in orders.items() if o == 2 and P not in span)
+    span = {elements[k] for k in table.multiples(table.index[gen])}
+    extra = _sorted_affine(P for P, o in zip(elements, orders) if o == 2 and P not in span)
     return f"Z/2xZ/{max_order}", n, (gen, extra[0])
 
 
@@ -224,8 +253,7 @@ def torsion_subgroup(
             for P in _divisor_candidates(curve):
                 if point_order(curve, P, check=False) is not None:
                     pool.add(P)
-        group = _closure(curve, pool)
-        shape, order, gens = _classify(curve, group)
+        shape, order, gens = _classify(_GroupTable(curve, pool))
         proven = order == max(_possible_orders(bound, exact_t2))
         return shape, order, gens, proven
 

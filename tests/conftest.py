@@ -22,3 +22,16 @@ def sample_rationals(seed: int, count: int, max_num: int = 30, max_den: int = 10
         Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
         for _ in range(count)
     ]
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # The same examples on every run, no example database on disk, and no
+    # per-example deadline: a slow host must not make a property test fail.
+    settings.register_profile(
+        "bqec", derandomize=True, deadline=None, max_examples=100, database=None
+    )
+    settings.load_profile("bqec")

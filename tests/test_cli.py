@@ -8,9 +8,12 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import bqec
 from bqec.arith import format_rational
 from bqec.cli import main
+from bqec.curves import Curve
 from bqec.quad import trapezoid
 
 DATA = Path(__file__).parent / "data"
@@ -193,6 +196,32 @@ def test_cli_loads_only_the_standard_library():
     assert loaded == "['__main__', 'bqec']"
 
 
+def test_parser_is_built_once_and_reused_without_leaking_state(capsys):
+    import bqec.cli
+
+    bqec.cli._make_parser.cache_clear()  # the next call builds the parser
+    code, out = run_cli(capsys, "search-quads", "--max-side", "28", "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "a,b,c,d,N"
+    code, lines = run_json(capsys, "search-quads", "--max-side", "28")
+    assert code == 0 and lines and all(set(line) == {"sides", "N"} for line in lines)
+
+    code, out = run_cli(capsys, "sieve", "--subfamily", "1", "--k", "257/134", "--format", "csv")
+    assert code == 0 and out.startswith("subfamily,k,")
+    code, lines = run_json(capsys, "sieve", "--subfamily", "1", "--k", "257/134")
+    assert code == 0 and [line["k"] for line in lines] == ["257/134"]
+
+    code, normal = run_cli(capsys, "curve", "--a=10")
+    assert code == 0
+    with pytest.raises(SystemExit) as rejected:
+        main(["curve"])  # --a is required
+    assert rejected.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "curve", "--a=10") == (0, normal)
+
+    assert bqec.cli._make_parser.cache_info().misses == 1
+    assert bqec.cli.build_parser() is bqec.cli.build_parser()
+
+
 def test_sieve_json(capsys):
     code, lines = run_json(capsys, "sieve", "--subfamily", "4", "--k", "115/28")
     assert code == 0
@@ -278,6 +307,27 @@ def test_regulator_command_computes_heights_once(capsys, monkeypatch):
     assert code == 0
     assert lines[0]["independent"] is False  # the second point is torsion
     assert len(calls) == 3  # h(P), h(Q) and h(P + Q), once each
+
+
+def test_curve_command_group_law_calls(capsys, monkeypatch):
+    calls = []
+    add = Curve.add
+
+    def counting(self, P, Q, check=True):
+        calls.append((P, Q))
+        return add(self, P, Q, check)
+
+    monkeypatch.setattr(Curve, "add", counting)
+    # 35 calls screen the seven hints by repeated addition; the group table
+    # makes one per unordered pair of non-identity elements: 28 for Z/8 and
+    # 120 for Z/2xZ/8.  Closing the hints under ordered pairs and finding
+    # orders by repeated addition took 134 and 484.
+    for a, shape, cap in (("10", "Z/8", 63), ("1312/207", "Z/2xZ/8", 155)):
+        calls.clear()
+        code, lines = run_json(capsys, "curve", f"--a={a}")
+        assert code == 0
+        assert (lines[0]["torsion"]["shape"], lines[0]["torsion"]["proven"]) == (shape, True)
+        assert len(calls) <= cap
 
 
 def test_verify_command(capsys):
