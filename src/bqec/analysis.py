@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import digits10, divisors_bounded, factorize, primes_up_to, rational_sqrt, worker_count
+from .arith import SMALL_PRIMES, digits10, divisors_bounded, factorize, map_jobs, rational_sqrt
 from .curves import INFINITY, PRIME_CAP, Curve, CurvePoint, Point
 from .errors import (
     BadPrime,
@@ -35,14 +35,28 @@ from .family import SIEVE_THRESHOLDS, family_curve, subfamily
 
 DIGIT_CAP_ENV = "BQEC_DIGIT_CAP"
 DEFAULT_DIGIT_CAP = 10 ** 6
+# The largest cap sys.set_int_max_str_digits accepts (a C int).
+_MAX_DIGIT_CAP = 2 ** 31 - 1
 
 _DEFAULT_THRESHOLDS = {523: 10.0, 1979: 14.0}
 
 
 def digit_cap() -> int:
-    """Decimal-digit cap on exact coordinates (env BQEC_DIGIT_CAP overrides)."""
+    """Decimal-digit cap on exact coordinates (env BQEC_DIGIT_CAP overrides).
+
+    Raises ValueError when the variable is set to anything but an integer
+    in 1 .. 2^31 - 1.
+    """
     value = os.environ.get(DIGIT_CAP_ENV)
-    return int(value) if value else DEFAULT_DIGIT_CAP
+    if not value:
+        return DEFAULT_DIGIT_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if not 1 <= cap <= _MAX_DIGIT_CAP:
+        raise ValueError(f"{DIGIT_CAP_ENV}={value!r} is not an integer in 1..{_MAX_DIGIT_CAP}")
+    return cap
 
 
 def naive_height(P: CurvePoint) -> float:
@@ -173,8 +187,9 @@ def is_probably_independent(curve: Curve, points, doublings: int = 8,
 def mestre_nagao_sums(curve: Curve, bounds) -> dict[int, float]:
     """Partial sums sum_{p <= n} (1 - (p-1)/#E(F_p)) log p at each bound.
 
-    One pass up to the largest bound; p <= 3 and bad primes skipped.
-    Raises SizeCapExceeded, before any counting, for a bound above PRIME_CAP.
+    One walk over SMALL_PRIMES that stops at the largest bound; p <= 3 and
+    bad primes skipped.  Raises SizeCapExceeded, before any counting, for a
+    bound above PRIME_CAP.
     """
     bounds = sorted(set(int(b) for b in bounds))
     if not bounds:
@@ -184,20 +199,19 @@ def mestre_nagao_sums(curve: Curve, bounds) -> dict[int, float]:
     sums: dict[int, float] = {}
     total = 0.0
     idx = 0
-    for p in primes_up_to(bounds[-1]):
+    for p in SMALL_PRIMES[2:]:  # from 5: p <= 3 is skipped
         while idx < len(bounds) and p > bounds[idx]:
             sums[bounds[idx]] = total
             idx += 1
-        if p <= 3:
-            continue
+        if idx == len(bounds):
+            break
         try:
             count = curve.count_points_mod_p(p)
         except (BadPrime, BadReduction):
             continue
         total += (1 - (p - 1) / count) * math.log(p)
-    while idx < len(bounds):
-        sums[bounds[idx]] = total
-        idx += 1
+    for bound in bounds[idx:]:  # at or past the last prime below PRIME_CAP
+        sums[bound] = total
     return sums
 
 
@@ -222,20 +236,12 @@ def sieve(subfamily_index: int, k_values, thresholds: dict[int, float] | None = 
     thresholds maps prime bounds to required scores; defaults are the
     per-subfamily shipped values.  Output order matches input order;
     singular parameters produce flagged records rather than failures.
-    jobs > 1 spreads the k values over that many processes, at most one
-    per CPU.
+    The k values are spread over processes by arith.map_jobs.
     """
     if thresholds is None:
         thresholds = SIEVE_THRESHOLDS.get(subfamily_index, _DEFAULT_THRESHOLDS)
-    k_values = [Fraction(k) for k in k_values]
-    args = [(subfamily_index, k, dict(thresholds)) for k in k_values]
-    workers = worker_count(jobs)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sieve_one, args))
-    return [_sieve_one(arg) for arg in args]
+    args = [(subfamily_index, Fraction(k), dict(thresholds)) for k in k_values]
+    return map_jobs(_sieve_one, args, jobs)
 
 
 def _sieve_one(arg: tuple[int, Fraction, dict[int, float]]) -> SieveRecord:

@@ -1,4 +1,4 @@
-"""Small helpers: rational I/O, square roots, primes, factoring, worker counts.
+"""Small helpers: rational I/O, square roots, primes, factoring, --jobs.
 
 Everything here uses only the standard library.  The package's one prime
 list, SMALL_PRIMES (every prime up to PRIME_CAP), is sieved at import.
@@ -7,7 +7,9 @@ k-th roots for perfect powers, the Baillie-PSW probable-prime test
 (Baillie and Wagstaff, Math. Comp. 35, 1980) and Pollard-Brent rho
 (Brent, BIT 20, 1980).  Rho is capped at RHO_STEP_CAP steps per cofactor,
 so a number with two prime factors above about 10^12 may raise
-SizeCapExceeded instead of running without end.
+SizeCapExceeded instead of running without end.  map_jobs is the one
+place a --jobs value becomes processes: in process for one worker, a
+ProcessPoolExecutor of at most one worker per CPU otherwise.
 """
 
 from __future__ import annotations
@@ -270,3 +272,15 @@ def digits10(n: int) -> int:
 def worker_count(jobs: int) -> int:
     """Processes to use when a caller asks for jobs: at least 1, at most the CPU count."""
     return max(1, min(jobs, os.cpu_count() or 1))
+
+
+def map_jobs(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], in order, over worker_count(jobs)
+    processes (in this process when that is 1).  fn must be picklable."""
+    workers = worker_count(jobs)
+    if workers == 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -13,19 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from functools import cache
 
-from .analysis import (
-    DEFAULT_DIGIT_CAP,
-    DIGIT_CAP_ENV,
-    INDEPENDENCE_TOL,
-    canonical_height,
-    regulator,
-    sieve,
-)
+from .analysis import INDEPENDENCE_TOL, canonical_height, digit_cap, regulator, sieve
 from .arith import format_rational, parse_rational
 from .curves import Curve, Point
 from .errors import (
@@ -124,10 +116,8 @@ def cmd_quad(args) -> int:
         if len(sides) != 4:
             raise ValueError("--sides needs exactly four comma-separated rationals")
         quad = Quadrilateral(*sides)
+        a, u, v = quad_to_point(quad)  # raises NotPitot, then IrrationalN
         data = bicentric_data(quad)
-        if data.n is None:
-            raise IrrationalN(f"N^2 = {data.n_sq} is not a rational square")
-        a, u, v = quad_to_point(quad)
         _emit(
             {
                 "sides": [format_rational(side) for side in quad.sides],
@@ -346,8 +336,7 @@ def main(argv=None) -> int:
     try:
         # The interpreter's int<->str limit (4300 digits by default) would
         # reject valid input far below the digit cap, so the cap sets it.
-        cap = int(os.environ.get(DIGIT_CAP_ENV) or DEFAULT_DIGIT_CAP)
-        sys.set_int_max_str_digits(max(cap, sys.int_info.str_digits_check_threshold))
+        sys.set_int_max_str_digits(max(digit_cap(), sys.int_info.str_digits_check_threshold))
         return args.func(args)
     except (DigitCapExceeded, SizeCapExceeded) as exc:
         _emit_error(exc)

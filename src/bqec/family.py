@@ -322,8 +322,6 @@ def parameter_from_auxiliary_point(p: Fraction, q: Fraction) -> tuple[Fraction, 
 # ----------------------------------------------------------------------
 # embedded reference tables (verification corpora, exact data)
 
-TABLES_VERSION = 1
-
 # r-values of the 26 published rank-3 curves with torsion Z/2 x Z/8 that the
 # product_torsion_parameter map reaches.  Rank claims are published values,
 # not re-proved here; only the torsion structure is verified.

@@ -25,7 +25,7 @@ from functools import cache, lru_cache
 from math import gcd, isqrt, lcm
 from operator import and_
 
-from .arith import rational_sqrt, worker_count
+from .arith import map_jobs, rational_sqrt
 from .curves import Point
 from .errors import (
     IrrationalN,
@@ -231,8 +231,8 @@ def _mask_table(m: int) -> tuple[int, ...]:
 def _search_tables(max_side: int) -> tuple[list[tuple[int, list[int]]], list[int]]:
     """The row masks of a search up to max_side, and the list below[n] of the
     bitsets with bits 0 .. n-1 set, both read-only.  Each process keeps those
-    of its latest max_side, so a pooled search builds them once per worker,
-    not once per 8-row chunk."""
+    of its latest max_side, so a search builds them once per process (once
+    in all for a serial one), not once per 8-row chunk."""
     return _row_masks(max_side), [(1 << n) - 1 for n in range(max_side + 2)]
 
 
@@ -299,26 +299,14 @@ def search_quads(max_side: int, jobs: int = 1) -> list[tuple[Quadrilateral, Frac
     """All integer-sided quadrilaterals with sides <= max_side, incircle
     condition satisfied and rational N, deduplicated under rotation,
     reflection and scaling; sorted by perimeter then lexicographically.
-    jobs > 1 spreads the rows over that many processes, at most one per CPU."""
+    The least side runs in chunks of 8 values, spread over processes by
+    arith.map_jobs."""
     if max_side < 1:
         raise ValueError("max_side must be >= 1")
     if max_side > MAX_SIDE_CAP:
         raise SizeCapExceeded(f"max side {max_side} exceeds the cap {MAX_SIDE_CAP}")
-    workers = worker_count(jobs)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = list(range(1, max_side + 2))
-        chunks = [
-            (bounds[i], bounds[min(i + 8, len(bounds) - 1)], max_side)
-            for i in range(0, len(bounds) - 1, 8)
-        ]
-        hits: set[tuple[int, int, int, int]] = set()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_search_chunk, chunks):
-                hits |= part
-    else:
-        hits = search_quads_range(1, max_side + 1, max_side)
+    chunks = [(a, min(a + 8, max_side + 1), max_side) for a in range(1, max_side + 1, 8)]
+    hits = set().union(*map_jobs(_search_chunk, chunks, jobs))
     results = []
     for sides in sorted(hits, key=lambda t: (sum(t), t)):
         quad = Quadrilateral(*sides)

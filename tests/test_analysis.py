@@ -15,6 +15,7 @@ from bqec.analysis import (
     regulator,
     sieve,
 )
+from bqec.arith import primes_up_to
 from bqec.curves import INFINITY, Curve, Point
 from bqec.errors import DigitCapExceeded, InfinityPoint, PointNotOnCurve, SizeCapExceeded
 from bqec.family import auxiliary_curve, family_curve, subfamily1_cleared
@@ -153,6 +154,33 @@ def test_mestre_nagao_conventions():
     sums = mestre_nagao_sums(E10, [100, 523])
     assert 0 < sums[100] < sums[523]
     assert mestre_nagao(E10, 523) == sums[523]
+
+
+def test_mestre_nagao_prime_walk(monkeypatch):
+    A, B = int(E10.A), int(E10.B)
+
+    def oracle(bound):
+        total = 0.0
+        for p in primes_up_to(bound):
+            if p <= 3 or B * (A * A - 4 * B) % p == 0:  # too small, or bad reduction
+                continue
+            total += (1 - (p - 1) / E10.count_points_mod_p(p)) * math.log(p)
+        return total
+
+    bounds = [1979, 7, 5, 6, 2, 523, 524, 7]
+    expected = {bound: oracle(bound) for bound in sorted(set(bounds))}
+    counted = []
+    count = Curve.count_points_mod_p
+
+    def counting(self, p):
+        counted.append(p)
+        return count(self, p)
+
+    monkeypatch.setattr(Curve, "count_points_mod_p", counting)
+    assert mestre_nagao_sums(E10, bounds) == expected
+    # one count per prime 5 <= p <= 1979: the walk stops at the largest bound
+    assert counted == primes_up_to(1979)[2:]
+    assert len(counted) == 297
 
 
 def test_sieve_rows():

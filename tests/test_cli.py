@@ -352,10 +352,32 @@ def test_digit_cap_exit_code(capsys, monkeypatch):
     assert lines[0]["error"] == "digit-cap-exceeded"
 
 
+def test_digit_cap_out_of_range_is_invalid_input(capsys, monkeypatch):
+    # 2147483648 is past the C int that sys.set_int_max_str_digits takes
+    limit = sys.get_int_max_str_digits()
+    for value in ("2147483648", "0"):
+        monkeypatch.setenv("BQEC_DIGIT_CAP", value)
+        code, lines = run_json(capsys, "curve", "--a", "10")
+        assert code == 2
+        assert lines[0]["error"] == "value-error"
+        assert "BQEC_DIGIT_CAP" in lines[0]["detail"]
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_jobs_flag_matches_serial(capsys):
     _, serial = run_cli(capsys, "search-quads", "--max-side", "20")
     _, parallel = run_cli(capsys, "search-quads", "--max-side", "20", "--jobs", "2")
     assert serial == parallel
+
+
+def test_sieve_two_processes_match_serial(capsys):
+    # passing (115/28, 301/396, 12/233), failing (3/11) and singular (1) rows
+    args = ("sieve", "--subfamily", "4", "--k", "115/28,301/396,12/233,3/11,1", "--format", "csv")
+    _, serial = run_cli(capsys, *args)
+    _, pooled = run_cli(capsys, *args, "--jobs", "2")
+    assert pooled == serial
+    assert serial.splitlines()[-2:] == ["4,3/11,5.44892518378023,6.0705749603440715,false",
+                                        "4,1,,,false"]
 
 
 class _RecordingPool:
