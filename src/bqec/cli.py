@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from functools import cache
@@ -150,7 +151,7 @@ def cmd_quad(args) -> int:
 
 
 def cmd_search_quads(args) -> int:
-    results = search_quads(args.max_side, jobs=args.jobs)
+    results = search_quads(args.max_side)
     if args.format == "csv":
         print("a,b,c,d,N")
         for quad, n in results:
@@ -167,7 +168,12 @@ def _parse_thresholds(text: str) -> dict[int, float]:
         bound, _, need = part.partition(":")
         if not need:
             raise ValueError(f"bad threshold {part!r}; expected BOUND:SCORE")
-        thresholds[int(bound)] = float(need)
+        bound, need = int(bound), float(need)
+        if bound in thresholds:
+            raise ValueError(f"bad threshold {part!r}; bound {bound} is given twice")
+        if not math.isfinite(need):
+            raise ValueError(f"bad threshold {part!r}; the score must be finite")
+        thresholds[bound] = need
     return thresholds
 
 
@@ -275,7 +281,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-quads", help="search integer-sided quadrilaterals")
     p.add_argument("--max-side", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_search_quads)
 
     p = sub.add_parser("sieve", help="score subfamily members by their sieve sums")

@@ -14,18 +14,22 @@ The search fixes the least side a and walks b <= d only, since swapping b
 and d reflects the quadrilateral.  For each (a, b) it ANDs one bitset over c
 per small modulus m, with bit c set when the triple (ab+cd)(ac+bd)(ad+bc) is
 a square modulo m, and tests only the surviving c exactly with isqrt.  A
-non-square modulo m is not a square, so the masks never drop a hit.
+non-square modulo m is not a square, so the masks never drop a hit.  The
+moduli follow from the size alone: ten up to 31 always, and 37-47 only for
+searches large enough to repay their tables.  The whole search runs in one
+process; at the 2000 cap it takes about 3 s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
+from itertools import cycle
 from math import gcd, isqrt, lcm
 from operator import and_
 
-from .arith import map_jobs, rational_sqrt
+from .arith import rational_sqrt
 from .curves import Point
 from .errors import (
     IrrationalN,
@@ -198,13 +202,16 @@ def trapezoid(k: Fraction) -> tuple[Quadrilateral, Fraction]:
 # integer search
 
 # Largest max_side that search_quads accepts.  The search is O(max_side^3):
-# search-quads --max-side 2000 takes about 9 s on one core of a 2-core host.
+# search-quads --max-side 2000 takes about 3 s on one core of a 2-core host.
 MAX_SIDE_CAP = 2000
 
 # Moduli of the residue masks, chosen by timing.  Over the c of a search at
 # max side 248, 2, 4 and 8 remove none, 16 removes 13%, 9 no more than 3 and
-# 25 more than 5; a modulus past 31 costs more per (a, b) than it saves there.
-_MASK_MODULI = (3, 25, 7, 11, 13, 17, 19, 23, 29, 31)
+# 25 more than 5.  Each prime past 31 roughly halves the candidates left, but
+# its mask table costs m^3 steps (28-58 ms, against about 48 ms for all ten
+# before it), so _row_masks takes it only for a search large enough to repay
+# that.
+_MASK_MODULI = (3, 25, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _triple(a: int, b: int, c: int, d: int) -> int:
@@ -227,24 +234,20 @@ def _mask_table(m: int) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=1)
-def _search_tables(max_side: int) -> tuple[list[tuple[int, list[int]]], list[int]]:
-    """The row masks of a search up to max_side, and the list below[n] of the
-    bitsets with bits 0 .. n-1 set, both read-only.  Each process keeps those
-    of its latest max_side, so a search builds them once per process (once
-    in all for a serial one), not once per 8-row chunk."""
-    return _row_masks(max_side), [(1 << n) - 1 for n in range(max_side + 2)]
-
-
-def _row_masks(max_side: int) -> list[tuple[int, list[int]]]:
-    """Each modulus m with its mask table, every bitset repeated along c and
-    shifted so that bit j of entry (a % m) * m + b % m stands for
-    c = 2b - a + j, for c up to max_side."""
+def _row_masks(max_side: int) -> list[tuple[int, list[list[int]]]]:
+    """Each modulus m that a search up to max_side uses, with its cycles:
+    entry r lists, for a % m == r and b running over r .. r + m - 1, the
+    bitset of the table repeated along c and shifted so that bit j stands for
+    c = 2b - a + j, for c up to max_side.  A modulus past 31 is used only from
+    max_side 20m on (37 from 740, 47 from 940)."""
     rows = []
     for m in _MASK_MODULI:
+        if m > 31 and max_side < 20 * m:
+            continue
         spread = ((1 << (m * (max_side // m + 2))) - 1) // ((1 << m) - 1)  # a bit every m places
         table = _mask_table(m)
-        rows.append((m, [(table[i] * spread) >> ((2 * (i % m) - i // m) % m) for i in range(m * m)]))
+        rows.append((m, [[(table[r * m + b % m] * spread) >> ((2 * b - r) % m) for b in range(r, r + m)]
+                         for r in range(m)]))
     return rows
 
 
@@ -264,23 +267,23 @@ def search_quads_range(
 ) -> set[tuple[int, int, int, int]]:
     """Canonical integer quadruples (a, b, c, d), a + c = b + d, with least
     side a in [a_lo, a_hi), every side <= max_side and rational radius ratio.
-    Worker for search_quads.
+    The kernel of search_quads.
 
     Swapping b and d reflects the quadrilateral and keeps the triple, so only
     b <= d is searched: c runs over [2b - a, max_side].  For each (a, b) the
-    residue masks of every modulus in _MASK_MODULI are AND-ed, and only the c
-    whose triple is a square modulo all of them get the exact isqrt test.
+    residue masks of every modulus _row_masks picks for max_side are AND-ed,
+    and only the c whose triple is a square modulo all of them get the exact
+    isqrt test.
     """
     hits: set[tuple[int, int, int, int]] = set()
-    masks, below = _search_tables(max_side)
+    masks = _row_masks(max_side)
+    below = [(1 << n) - 1 for n in range(max_side + 2)]  # bits 0 .. n-1 set
     for a in range(a_lo, a_hi):
         b_hi = (a + max_side) // 2
         # row b - a holds bit j for c = 2b - a + j <= max_side
         rows = below[max_side + 1 - a:0:-2]
-        for m, table in masks:
-            base = a % m * m
-            cycle = [table[base + b % m] for b in range(a, a + m)]
-            rows = map(and_, rows, cycle * ((b_hi - a) // m + 1))
+        for m, cycles in masks:
+            rows = map(and_, rows, cycle(cycles[a % m]))
         for b, row in zip(range(a, b_hi + 1), rows):
             low_c = 2 * b - a
             while row:
@@ -295,24 +298,16 @@ def search_quads_range(
     return hits
 
 
-def search_quads(max_side: int, jobs: int = 1) -> list[tuple[Quadrilateral, Fraction]]:
+def search_quads(max_side: int) -> list[tuple[Quadrilateral, Fraction]]:
     """All integer-sided quadrilaterals with sides <= max_side, incircle
     condition satisfied and rational N, deduplicated under rotation,
-    reflection and scaling; sorted by perimeter then lexicographically.
-    The least side runs in chunks of 8 values, spread over processes by
-    arith.map_jobs."""
+    reflection and scaling; sorted by perimeter then lexicographically."""
     if max_side < 1:
         raise ValueError("max_side must be >= 1")
     if max_side > MAX_SIDE_CAP:
         raise SizeCapExceeded(f"max side {max_side} exceeds the cap {MAX_SIDE_CAP}")
-    chunks = [(a, min(a + 8, max_side + 1), max_side) for a in range(1, max_side + 1, 8)]
-    hits = set().union(*map_jobs(_search_chunk, chunks, jobs))
     results = []
-    for sides in sorted(hits, key=lambda t: (sum(t), t)):
+    for sides in sorted(search_quads_range(1, max_side + 1, max_side), key=lambda t: (sum(t), t)):
         quad = Quadrilateral(*sides)
         results.append((quad, n_ratio(quad)))
     return results
-
-
-def _search_chunk(args: tuple[int, int, int]) -> set[tuple[int, int, int, int]]:
-    return search_quads_range(*args)

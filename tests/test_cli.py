@@ -120,12 +120,12 @@ def test_search_quads_csv(capsys):
 
 
 def test_search_quads_pinned_output(capsys):
-    # recorded from the triple-loop search that the residue masks replaced
-    expected = (DATA / "search_quads_300.jsonl").read_text(encoding="utf-8")
-    _, serial = run_cli(capsys, "search-quads", "--max-side", "300")
-    _, pooled = run_cli(capsys, "search-quads", "--max-side", "300", "--jobs", "2")
-    assert serial == expected
-    assert pooled == expected
+    # 300 was recorded from the triple-loop search that the residue masks
+    # replaced, 1000 before the moduli past 31, which only the larger uses
+    for max_side in (300, 1000):
+        expected = (DATA / f"search_quads_{max_side}.jsonl").read_text(encoding="utf-8")
+        _, out = run_cli(capsys, "search-quads", "--max-side", str(max_side))
+        assert out == expected
 
 
 def test_search_quads_cap_exit_code(capsys):
@@ -258,6 +258,18 @@ def test_sieve_k_file(tmp_path, capsys):
     assert [line["k"] for line in lines] == ["115/28", "301/396"]
 
 
+def test_sieve_thresholds_repeated_or_non_finite(capsys):
+    # a repeated bound is ambiguous, and no score beats nan or inf
+    for text, part in (("523:10,523:11", "523:11"), ("523:nan", "523:nan"),
+                       ("523:inf", "523:inf"), ("1979:14,523:-inf", "523:-inf")):
+        code, lines = run_json(
+            capsys, "sieve", "--subfamily", "1", "--k", "257/134", "--thresholds", text
+        )
+        assert code == 2
+        assert lines[0]["error"] == "value-error"
+        assert repr(part) in lines[0]["detail"]
+
+
 def test_sieve_prime_bound_cap_exit_code(capsys):
     code, lines = run_json(
         capsys, "sieve", "--subfamily=1", "--k=257/134", "--thresholds=10007:1"
@@ -364,10 +376,12 @@ def test_digit_cap_out_of_range_is_invalid_input(capsys, monkeypatch):
         assert sys.get_int_max_str_digits() == limit
 
 
-def test_jobs_flag_matches_serial(capsys):
-    _, serial = run_cli(capsys, "search-quads", "--max-side", "20")
-    _, parallel = run_cli(capsys, "search-quads", "--max-side", "20", "--jobs", "2")
-    assert serial == parallel
+def test_search_quads_has_no_jobs_option(capsys):
+    # the search runs in one process; --jobs is an unknown option there
+    with pytest.raises(SystemExit) as excinfo:
+        main(["search-quads", "--max-side", "20", "--jobs", "2"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_sieve_two_processes_match_serial(capsys):
@@ -402,11 +416,8 @@ def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    _, serial = run_cli(capsys, "search-quads", "--max-side", "20")
-    _, pooled = run_cli(capsys, "search-quads", "--max-side", "20", "--jobs", "1000000")
-    assert pooled == serial
     sieve_args = ("sieve", "--subfamily", "4", "--k", "115/28,3/11", "--thresholds", "523:8")
     _, serial = run_cli(capsys, *sieve_args)
     _, pooled = run_cli(capsys, *sieve_args, "--jobs", "1000000")
     assert pooled == serial
-    assert _RecordingPool.sizes == [2, 2]
+    assert _RecordingPool.sizes == [2]

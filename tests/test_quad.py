@@ -225,8 +225,6 @@ def test_search_quads_cap(monkeypatch):
     monkeypatch.setattr(bqec.quad, "search_quads_range", no_search)
     with pytest.raises(SizeCapExceeded):
         search_quads(MAX_SIDE_CAP + 1)
-    with pytest.raises(SizeCapExceeded):
-        search_quads(MAX_SIDE_CAP + 1, jobs=2)
 
 
 def test_toth_inequality_on_corpus():
