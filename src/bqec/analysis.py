@@ -3,9 +3,16 @@
 Canonical heights are computed as the doubling limit h(2^n P) / 4^n by one
 exact integer x-only doubling loop (the b-invariant duplication formula),
 run on the integral model for AB-form curves and on the given model
-otherwise, with a single float conversion at the end; the only
-approximation is the truncation of the limit, and the reported error
-bound is C / 4^n with C the log size of that model's discriminant.
+otherwise, with a single float conversion at the end.  h is the log height
+of x, so the value is twice Silverman's normalisation of the canonical
+height.  Each step's numerator and denominator are quartic forms in the
+coprime pair (U, V), so their gcd divides the forms' resultant, one
+integer per model (about 400 bits for the published rank-2 pair).  The
+gcd is found modulo it, never between the full numerator and denominator
+(5 * 10^5 digits for the pair's sum after 8 doublings), and is exact.
+The only approximation is the truncation of the limit; the reported
+error_bound, C / 4^n with C the log size of that model's discriminant,
+is an estimate of it, not a proven bound.
 Sieve scores follow the convention: natural logarithm, primes p <= 3 and
 primes of bad reduction (on the integral model) skipped.  Each #E(F_p) is
 an exact count read from a cached per-prime table of square-root counts
@@ -76,12 +83,16 @@ class HeightResult:
 def canonical_height(curve: Curve, P: CurvePoint, doublings: int = 8) -> HeightResult:
     """Canonical height h(2^n P) / 4^n with exact x-only doubling.
 
+    h is the log height of x, so the limit is twice Silverman's h-hat.
     AB-form curves are doubled on their integral model, other models as
-    given; the error constant is the log size of that model's discriminant.
-    Exactly 0 (with error bound 0) when some 2^k P hits infinity, i.e. for
-    2-power torsion.  Raises DigitCapExceeded if coordinates outgrow the
-    digit cap, and ValueError when the requested doublings leave an error
-    bound above 0.01.
+    given.  Each step divides the new x = num/den by gcd(num, den), found
+    as gcd(gcd(num mod R, R), den) with R the resultant of the two forms
+    (_doubling_resultant), which the gcd divides.  error_bound is the
+    estimate C / 4^n, with C the log size of that model's discriminant;
+    it is not a proven bound.  Exactly 0 (with error bound 0) when some
+    2^k P hits infinity, i.e. for 2-power torsion.  Raises
+    DigitCapExceeded if coordinates outgrow the digit cap, and ValueError
+    when the requested doublings leave an error bound above 0.01.
     """
     if P is INFINITY:
         raise InfinityPoint("canonical height needs an affine point")
@@ -100,6 +111,7 @@ def canonical_height(curve: Curve, P: CurvePoint, doublings: int = 8) -> HeightR
     b2, b4, b6, _ = model.b_invariants
     D = math.lcm(b2.denominator, b4.denominator, b6.denominator)
     c2, c4, c6 = (int(b * D) for b in (b2, b4, b6))
+    R = _doubling_resultant(D, c2, c4, c6)
     U, V = x.numerator, x.denominator
     for step in range(doublings):
         # x(2P) = ((2x^2 - b4)^2 - b6 (8x + b2)) / (4 (4x^3 + b2 x^2 + 2 b4 x + b6))
@@ -110,7 +122,10 @@ def canonical_height(curve: Curve, P: CurvePoint, doublings: int = 8) -> HeightR
         den = 4 * D * V * ((4 * D * U + c2 * V) * UU + 2 * c4 * U * VV + c6 * V * VV)
         if den == 0:
             return HeightResult(0.0, step + 1, 0.0)
-        g = gcd(num, den)
+        # U and V are coprime, so gcd(num, den) divides R: these two small
+        # gcds give exactly gcd(num, den)
+        g = gcd(num % R, R)
+        g = gcd(g, den % g)
         U, V = num // g, den // g
         if V < 0:
             U, V = -U, -V
@@ -127,6 +142,16 @@ def canonical_height(curve: Curve, P: CurvePoint, doublings: int = 8) -> HeightR
             "coarse; increase doublings"
         )
     return HeightResult(value, doublings, error_bound)
+
+
+def _doubling_resultant(D: int, c2: int, c4: int, c6: int) -> int:
+    """Resultant of the doubling loop's num and den as binary quartics in
+    (U, V): 4096 D^8 q^2 = 2^16 D^16 Delta^2, with Delta the discriminant
+    of the model whose b-invariants are c2/D, c4/D, c6/D.  Positive for a
+    nonsingular model."""
+    q = (108 * D * D * c6 * c6 - 36 * D * c2 * c4 * c6 + 32 * D * c4 ** 3
+         + c2 ** 3 * c6 - c2 * c2 * c4 * c4)
+    return 4096 * D ** 8 * q * q
 
 
 def _height_value(curve: Curve, P: CurvePoint, doublings: int) -> float:

@@ -169,6 +169,8 @@ def _parse_thresholds(text: str) -> dict[int, float]:
         if not need:
             raise ValueError(f"bad threshold {part!r}; expected BOUND:SCORE")
         bound, need = int(bound), float(need)
+        if bound < 5:  # the sums skip p <= 3, so a smaller bound scores no prime
+            raise ValueError(f"bad threshold {part!r}; the prime bound must be at least 5")
         if bound in thresholds:
             raise ValueError(f"bad threshold {part!r}; bound {bound} is given twice")
         if not math.isfinite(need):

@@ -18,7 +18,15 @@ from bqec.analysis import (
 from bqec.arith import primes_up_to
 from bqec.curves import INFINITY, Curve, Point
 from bqec.errors import DigitCapExceeded, InfinityPoint, PointNotOnCurve, SizeCapExceeded
-from bqec.family import auxiliary_curve, family_curve, subfamily1_cleared
+from bqec.family import (
+    auxiliary_curve,
+    dual_curve,
+    family_curve,
+    family_torsion_points,
+    isogeny_to_dual,
+    subfamily,
+    subfamily1_cleared,
+)
 from bqec.torsion import point_order
 
 E0, P0 = subfamily1_cleared(0)
@@ -110,6 +118,62 @@ def test_canonical_height_two_torsion_on_general_model():
     model, T = _changed_model(E10, Point(0, 0), F(2), F(1), F(1), F(3))
     assert model.a1 and model.a3
     assert canonical_height(model, T, 8) == canonical_height(E10, Point(0, 0), 8)
+
+
+def _full_gcd_height(curve, P, n):
+    """h(2^n P) / 4^n by the doubling loop with a full gcd at every step,
+    restated here as the reference for canonical_height's reduced gcd."""
+    if curve.is_ab_form:
+        model, lam = curve.integral_model()
+        x = P.x * lam * lam
+    else:
+        model, x = curve, P.x
+    b2, b4, b6, _ = model.b_invariants
+    D = math.lcm(b2.denominator, b4.denominator, b6.denominator)
+    c2, c4, c6 = (int(b * D) for b in (b2, b4, b6))
+    U, V = x.numerator, x.denominator
+    for _ in range(n):
+        num = (2 * D * U * U - c4 * V * V) ** 2 - c6 * V ** 3 * (8 * D * U + c2 * V)
+        den = 4 * D * V * (4 * D * U ** 3 + c2 * U * U * V + 2 * c4 * U * V * V + c6 * V ** 3)
+        if den == 0:
+            return 0.0
+        g = math.gcd(num, den)
+        U, V = num // g, den // g
+        if V < 0:
+            U, V = -U, -V
+    return math.log(max(abs(U), V)) / 4 ** n
+
+
+def test_canonical_height_matches_full_gcd_loop():
+    member = subfamily(4, F(3, 11))
+    translate_curve = family_curve(member.a)
+    order_eight = next(T for T, order in family_torsion_points(member.a) if order == 8)
+    cases = [
+        (E0, P0),
+        *((PAIR_CURVE, P) for P in (*PAIR, PAIR_CURVE.add(*PAIR))),
+        (auxiliary_curve(), Point(-38, 125)),  # general model
+        (translate_curve, translate_curve.add(member.point, order_eight)),
+        (E10, Point(0, 0)),  # 2-torsion: exact zero
+    ]
+    for curve, P in cases:
+        assert canonical_height(curve, P, 8).value == _full_gcd_height(curve, P, 8)
+
+
+def test_isogeny_doubles_canonical_height():
+    # phi: E_a -> dual_curve(a) has degree 2, so h(phi(P)) = 2 h(P); the
+    # tolerance is the sum of the reported error bounds
+    members = [(1, F(3, 2)), (2, F(2, 3)), (3, F(3)), (4, F(1, 3)),
+               (5, F(5, 2)), (6, F(0)), (7, F(1, 2)), (8, F(3))]
+    for index, k in members:
+        member = subfamily(index, k)
+        a = member.a
+        curve, dual = family_curve(a), dual_curve(a)
+        assert point_order(curve, member.point) is None
+        for T in [INFINITY] + [T for T, _ in family_torsion_points(a)]:
+            P = curve.add(member.point, T)
+            h = canonical_height(curve, P, 8)
+            h_dual = canonical_height(dual, isogeny_to_dual(a, P), 8)
+            assert abs(h_dual.value - 2 * h.value) <= h_dual.error_bound + 2 * h.error_bound
 
 
 def test_digit_cap(monkeypatch):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
@@ -268,6 +269,22 @@ def test_sieve_thresholds_repeated_or_non_finite(capsys):
         assert code == 2
         assert lines[0]["error"] == "value-error"
         assert repr(part) in lines[0]["detail"]
+
+
+def test_sieve_thresholds_prime_bound_below_five(capsys):
+    # the sums skip p <= 3, so a bound below 5 would be scored over no prime
+    for text in ("2:1", "4:1", "0:1", "-5:1"):
+        code, lines = run_json(
+            capsys, "sieve", "--subfamily=1", "--k=257/134", f"--thresholds={text}"
+        )
+        assert code == 2
+        assert lines[0]["error"] == "value-error"
+        assert repr(text) in lines[0]["detail"]
+    # 5 is the least bound that scores a prime: #E(F_5) = 8 here
+    code, lines = run_json(capsys, "sieve", "--subfamily=4", "--k=3/11", "--thresholds=5:0")
+    assert code == 0
+    assert lines == [{"subfamily": 4, "k": "3/11", "S5": (1 - 4 / 8) * math.log(5),
+                      "passed": True}]
 
 
 def test_sieve_prime_bound_cap_exit_code(capsys):

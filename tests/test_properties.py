@@ -1,13 +1,16 @@
-"""Property tests: the group law on a general Weierstrass model, and the
-round trip between family-curve points and quadrilaterals."""
+"""Property tests: the group law on a general Weierstrass model, the
+round trip between family-curve points and quadrilaterals, and the
+resultant that bounds the height loop's gcd."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
+from bqec.analysis import _doubling_resultant  # noqa: E402
 from bqec.curves import INFINITY, Curve, Point  # noqa: E402
 from bqec.errors import NotRealizable, ZeroU  # noqa: E402
 from bqec.family import (  # noqa: E402
@@ -59,3 +62,42 @@ def test_point_quad_round_trip(member):
         assert a_back == a
         assert point_to_quad(a, u, v) == quad
         assert point_to_semiperimeter(a, u, v) == point_to_semiperimeter(a, Q.x, Q.y)
+
+
+def _sylvester_resultant(f, g):
+    """Resultant of two binary quartics given by their coefficients, the
+    determinant of their 8x8 Sylvester matrix by Bareiss elimination."""
+    m = [[0] * i + f + [0] * (3 - i) for i in range(4)]
+    m += [[0] * i + g + [0] * (3 - i) for i in range(4)]
+    sign, prev = 1, 1
+    for k in range(7):
+        pivot = next((i for i in range(k, 8) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, 8):
+            for j in range(k + 1, 8):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[7][7]
+
+
+coefficients = st.integers(min_value=-10 ** 4, max_value=10 ** 4)
+
+
+@given(st.integers(min_value=1, max_value=60), coefficients, coefficients, coefficients,
+       st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=10 ** 6))
+def test_doubling_gcd_divides_resultant(D, c2, c4, c6, U, V):
+    # num and den of one height doubling step at x = U/V, as quartics in
+    # (U, V), on the model with b-invariants c2/D, c4/D, c6/D
+    num_coeffs = [4 * D * D, 0, -4 * D * c4, -8 * D * c6, c4 * c4 - c2 * c6]
+    den_coeffs = [0, 16 * D * D, 4 * D * c2, 8 * D * c4, 4 * D * c6]
+    R = _doubling_resultant(D, c2, c4, c6)
+    assert R == _sylvester_resultant(num_coeffs, den_coeffs)
+    assume(R != 0 and gcd(U, V) == 1)  # a nonsingular model, x in lowest terms
+    num, den = (sum(c * U ** (4 - i) * V ** i for i, c in enumerate(coeffs))
+                for coeffs in (num_coeffs, den_coeffs))
+    assert R % gcd(num, den) == 0
